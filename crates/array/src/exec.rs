@@ -21,8 +21,8 @@ pub type Result<T> = std::result::Result<T, CoreError>;
 
 /// Execute a plan against the engine's array map.
 pub fn execute(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataSet> {
-    // Per-operator tracing when a scope is installed (`execute_traced`);
-    // one inert thread-local check otherwise.
+    // Per-operator tracing when the caller installed a scope; one inert
+    // thread-local check otherwise.
     let mut node = bda_obs::scope::enter(|| format!("op:{}", plan.op_kind().name()));
     let out = execute_node(plan, arrays);
     if let (Some(n), Ok(ds)) = (node.as_mut(), &out) {

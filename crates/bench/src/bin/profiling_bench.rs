@@ -77,15 +77,6 @@ impl Provider for SlowProvider {
     fn row_count_of(&self, name: &str) -> Option<usize> {
         self.inner.row_count_of(name)
     }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>), CoreError> {
-        std::thread::sleep(self.delay);
-        self.inner.execute_traced(plan, ctx)
-    }
 }
 
 fn events(n: usize) -> DataSet {

@@ -116,6 +116,14 @@ impl fmt::Display for CapabilitySet {
 /// `execute` and `store` take `&self`: providers are shared across threads
 /// by the simulated cluster, so implementations use interior mutability
 /// for their catalogs.
+///
+/// A custom provider (or a decorator around one) implements only
+/// `execute` to run plans; there is no separate traced entry point.
+/// Tracing reaches the engine through the thread-local
+/// [`bda_obs::scope`] the caller installs around the call: engines open
+/// per-operator spans with `scope::enter`, remote clients forward the
+/// scope's trace over the wire, and a wrapper that simply delegates
+/// `execute` keeps every span.
 pub trait Provider: Send + Sync {
     /// Stable provider name (used for site annotations and metrics).
     fn name(&self) -> &str;
@@ -211,35 +219,6 @@ pub trait Provider: Send + Sync {
         (0, 0)
     }
 
-    /// [`Provider::execute`] attached to a distributed trace: the
-    /// provider may additionally return spans describing its internal
-    /// work (per-operator timings, server-side handling), expressed in
-    /// the provider's own clock and id space. The caller stitches them
-    /// under `ctx.parent_span` via `Tracer::absorb_remote`. The default
-    /// executes untraced and returns no spans.
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>)> {
-        let _ = ctx;
-        Ok((self.execute(plan)?, Vec::new()))
-    }
-
-    /// [`Provider::execute_push`] attached to a distributed trace; the
-    /// returned spans cover this provider's execution and the peer store.
-    fn execute_push_traced(
-        &self,
-        plan: &Plan,
-        peer_addr: &str,
-        dest_name: &str,
-        ctx: &bda_obs::TraceContext,
-    ) -> Option<Result<(u64, Vec<bda_obs::Span>)>> {
-        let _ = ctx;
-        self.execute_push(plan, peer_addr, dest_name)
-            .map(|r| r.map(|bytes| (bytes, Vec::new())))
-    }
-
     /// This provider's own Prometheus exposition, if it serves one. The
     /// fleet view (`/cluster/metrics`) pulls every registered provider's
     /// exposition and merges them under per-instance labels; in-process
@@ -330,18 +309,6 @@ impl Provider for ReferenceProvider {
 
     fn row_count_of(&self, name: &str) -> Option<usize> {
         self.data.read(|m| m.get(name).map(|ds| ds.num_rows()))
-    }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>)> {
-        let tracer = bda_obs::Tracer::with_trace_id(ctx.trace_id);
-        let out = self
-            .data
-            .read(|m| crate::reference::evaluate_traced(plan, m, &tracer, None, &self.name))?;
-        Ok((out, tracer.take_spans()))
     }
 }
 

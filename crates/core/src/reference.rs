@@ -47,79 +47,14 @@ pub fn evaluate(plan: &Plan, src: &dyn DataSource) -> Result<DataSet> {
     eval_plan(plan, src, None)
 }
 
-thread_local! {
-    /// The active per-operator trace for this thread, installed by
-    /// [`evaluate_traced`] for the duration of one evaluation.
-    static TRACE: std::cell::RefCell<Option<TraceState>> = const { std::cell::RefCell::new(None) };
-}
-
-struct TraceState {
-    tracer: bda_obs::Tracer,
-    site: String,
-    parents: Vec<u64>,
-}
-
-/// [`evaluate`], recording one `op:{kind}` span per plan node into
-/// `tracer` (with output cardinality on success), rooted under `parent`
-/// and attributed to `site`. With a disabled tracer this is exactly
-/// [`evaluate`].
-pub fn evaluate_traced(
-    plan: &Plan,
-    src: &dyn DataSource,
-    tracer: &bda_obs::Tracer,
-    parent: Option<u64>,
-    site: &str,
-) -> Result<DataSet> {
-    if !tracer.is_enabled() {
-        return evaluate(plan, src);
-    }
-    // Clear the slot even on unwind so a poisoned evaluation can't leak
-    // its trace state into the next one on this thread.
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            TRACE.with(|t| *t.borrow_mut() = None);
-        }
-    }
-    TRACE.with(|t| {
-        *t.borrow_mut() = Some(TraceState {
-            tracer: tracer.clone(),
-            site: site.to_string(),
-            parents: parent.into_iter().collect(),
-        })
-    });
-    let _reset = Reset;
-    eval_plan(plan, src, None)
-}
-
-/// Evaluate one node, opening an `op:{kind}` span when this thread has an
-/// active trace (see [`evaluate_traced`]); a plain recursion otherwise.
+/// Evaluate one node, opening an `op:{kind}` span when a
+/// [`bda_obs::scope`] is installed on this thread; a plain recursion
+/// otherwise.
 fn eval_plan(plan: &Plan, src: &dyn DataSource, state: Option<&DataSet>) -> Result<DataSet> {
-    let span = TRACE.with(|t| {
-        let mut slot = t.borrow_mut();
-        slot.as_mut().map(|st| {
-            let guard = st.tracer.start(
-                st.parents.last().copied(),
-                || format!("op:{}", plan.op_kind().name()),
-                &st.site,
-            );
-            if let Some(id) = guard.id() {
-                st.parents.push(id);
-            }
-            guard
-        })
-    });
+    let mut node = bda_obs::scope::enter(|| format!("op:{}", plan.op_kind().name()));
     let out = eval_node(plan, src, state);
-    if let Some(mut guard) = span {
-        TRACE.with(|t| {
-            if let Some(st) = t.borrow_mut().as_mut() {
-                st.parents.pop();
-            }
-        });
-        if let Ok(ds) = &out {
-            guard.set_rows(ds.num_rows());
-        }
-        guard.finish();
+    if let (Some(n), Ok(ds)) = (node.as_mut(), &out) {
+        n.rows(ds.num_rows());
     }
     out
 }

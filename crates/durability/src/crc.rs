@@ -64,6 +64,46 @@ impl Default for Hasher {
     }
 }
 
+/// CRC-32 of `B` from the CRC-32s of `A` and of `A ‖ B` and `len` =
+/// `|B|` — zlib's `crc32_combine`, solved for the second part. A caller
+/// that ran one CRC pass over a buffer can checksum any sub-range this
+/// way without rereading it.
+pub fn crc32_of_suffix(whole: u32, prefix: u32, len: u64) -> u32 {
+    whole ^ mul_mod(x_pow_8n(len), prefix)
+}
+
+/// `a · b` modulo the polynomial, in the reflected bit order the table
+/// uses (bit 31 is `x^0`).
+fn mul_mod(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    for bit in (0..32).rev() {
+        if (a >> bit) & 1 == 1 {
+            product ^= b;
+        }
+        b = if b & 1 == 1 { POLY ^ (b >> 1) } else { b >> 1 };
+    }
+    product
+}
+
+/// `x^(8n)` modulo the polynomial: multiplying a CRC by it runs the CRC
+/// over `n` zero bytes. One multiply per set bit of `n`, from a table of
+/// `x^(8·2^k)` built once at first use.
+fn x_pow_8n(n: u64) -> u32 {
+    static POWERS: OnceLock<[u32; 64]> = OnceLock::new();
+    let powers = POWERS.get_or_init(|| {
+        let mut t = [0u32; 64];
+        let mut power = 1 << (31 - 8); // x^8
+        for slot in &mut t {
+            *slot = power;
+            power = mul_mod(power, power);
+        }
+        t
+    });
+    (0..64)
+        .filter(|k| (n >> k) & 1 == 1)
+        .fold(1 << 31, |out, k| mul_mod(powers[k], out)) // from x^0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,6 +128,16 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finish(), crc32(data), "split at {split}");
+        }
+    }
+
+    #[test]
+    fn suffix_checksum_matches_a_direct_pass() {
+        let data: Vec<u8> = (0..5000u32).map(|i| (i * 31 % 251) as u8).collect();
+        for split in [0, 1, 3, 8, 1000, 4999, 5000] {
+            let (a, b) = data.split_at(split);
+            let got = crc32_of_suffix(crc32(&data), crc32(a), b.len() as u64);
+            assert_eq!(got, crc32(b), "split at {split}");
         }
     }
 

@@ -284,6 +284,12 @@ impl DurableProvider {
                 "WAL records applied during recovery.",
             )
             .add(wal_records_replayed as u64);
+        metrics
+            .counter(
+                "bda_durability_replay_scan_crc_bytes_total",
+                "Bytes checksummed while telling a torn WAL tail from interior corruption.",
+            )
+            .add(replayed.scan_crc_bytes);
         root.event(|| {
             format!(
                 "snapshot seq {snapshot_seq} ({snapshot_datasets} datasets), \
@@ -576,26 +582,6 @@ impl Provider for DurableProvider {
     fn wire_bytes(&self) -> (u64, u64) {
         self.shared.inner.wire_bytes()
     }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>)> {
-        self.shared.inner.execute_traced(plan, ctx)
-    }
-
-    fn execute_push_traced(
-        &self,
-        plan: &Plan,
-        peer_addr: &str,
-        dest_name: &str,
-        ctx: &bda_obs::TraceContext,
-    ) -> Option<Result<(u64, Vec<bda_obs::Span>)>> {
-        self.shared
-            .inner
-            .execute_push_traced(plan, peer_addr, dest_name, ctx)
-    }
 }
 
 /// Convenience for tests and tools: a `CoreError::Durability` check.
@@ -857,9 +843,16 @@ mod tests {
             }
             assert_eq!(acked as u64, torn_at - 1, "everything before the tear acks");
         }
-        let p = open(&dir);
+        let hub = MetricsHub::new();
+        let mut options = Options::new(dir.clone());
+        options.metrics = Some(hub.clone());
+        let p = DurableProvider::open(Arc::new(ReferenceProvider::new("p")), options).unwrap();
         assert!(p.report().torn_tail_truncated);
         assert_eq!(p.report().datasets.len() as u64, torn_at - 1);
+        // The cost of telling the tear from interior corruption is exported.
+        assert!(hub
+            .render()
+            .contains("bda_durability_replay_scan_crc_bytes_total"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

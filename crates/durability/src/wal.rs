@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use bda_core::CoreError;
 use bda_obs::MetricsHub;
 
-use crate::crc::Hasher;
+use crate::crc::{crc32_of_suffix, Hasher};
 use crate::faults::{AppendFate, DiskFaults, FaultState};
 use crate::record::{decode_op, encode_op, WalOp};
 use crate::Result;
@@ -137,6 +137,10 @@ pub struct ReplayedWal {
     /// restart numbering at 1, making every later recovery refuse on a
     /// sequence jump and every later snapshot sort below the old one.
     pub next_seq: u64,
+    /// Bytes checksummed while telling torn tails from interior
+    /// corruption (0 for a log that replays cleanly): at most one pass
+    /// over the damaged segment plus one boundary probe.
+    pub scan_crc_bytes: u64,
     /// Index of the newest segment (0 when none exist yet).
     pub(crate) last_segment_index: u64,
     /// Valid byte length of the newest segment (`None`: no segments).
@@ -157,6 +161,7 @@ fn read_segment(
     path: &Path,
     first_expected_seq: &mut u64,
     out: &mut Vec<(u64, WalOp)>,
+    scan_crc_bytes: &mut u64,
 ) -> Result<SegmentEnd> {
     let mut bytes = Vec::new();
     File::open(path)
@@ -204,10 +209,18 @@ fn read_segment(
                 // The bounded scan catches shifted/garbled framing; the
                 // hint probe catches a corrupted record whose successor
                 // starts beyond the scan window (large payloads).
-                let later = scan_for_valid_record(&bytes, pos + 1).or_else(|| {
-                    next_hint
-                        .filter(|&at| matches!(parse_record(&bytes, at, 0), RecordParse::Ok { .. }))
-                });
+                // `expected` bounds the scan's sequence filter only when a
+                // checksum backs it: a record replayed from this segment,
+                // or the previous segment's cross-check of `first_seq`.
+                // The oldest segment's header is otherwise unchecked, and
+                // damage there must not hide the records that follow.
+                let trusted = (pos > SEG_HEADER || *first_expected_seq != 0).then_some(expected);
+                let later =
+                    scan_for_valid_record(&bytes, pos, trusted, scan_crc_bytes).or_else(|| {
+                        let at = next_hint?;
+                        *scan_crc_bytes += 8 + frame_at(&bytes, at)?.0;
+                        matches!(parse_record(&bytes, at, 0), RecordParse::Ok { .. }).then_some(at)
+                    });
                 if let Some(at) = later {
                     return Err(corrupt(
                         pos,
@@ -301,19 +314,78 @@ fn parse_record(bytes: &[u8], pos: u64, expected: u64) -> RecordParse {
     }
 }
 
-/// Scan forward from `from` for any checksum-valid record, bounded by
+/// Scan forward from just past `failed_at` (where record `expected`
+/// failed to parse) for a checksum-valid record, bounded by
 /// [`SCAN_WINDOW`]. Used to tell interior corruption from a torn tail.
-fn scan_for_valid_record(bytes: &[u8], from: u64) -> Option<u64> {
-    let len = bytes.len() as u64;
-    let stop = len.min(from.saturating_add(SCAN_WINDOW));
-    let mut pos = from;
-    while pos + REC_HEADER <= stop {
-        if let RecordParse::Ok { .. } = parse_record(bytes, pos, 0) {
-            return Some(pos);
-        }
-        pos += 1;
-    }
-    None
+///
+/// Checksumming every offset whose length field fits would be quadratic
+/// (payloads full of small integers look like length fields), so the
+/// scan is linear by construction:
+/// 1. When `expected` is known, headers that cannot belong to a
+///    committed write are skipped before any checksum. Such a record
+///    carries a sequence number of at least `expected` (every earlier
+///    one already replayed), and at most one more per record header's
+///    worth of bytes since `failed_at` (the records in between each take
+///    at least a header). `None` keeps every header whose length fits.
+/// 2. One CRC pass from `failed_at` notes the running CRC wherever a
+///    remaining candidate's checksummed range starts or ends, and each
+///    candidate's CRC is solved from those two values
+///    ([`crc32_of_suffix`]) instead of rereading its payload.
+///
+/// The bytes the pass reads are added to `crc_bytes`.
+fn scan_for_valid_record(
+    bytes: &[u8],
+    failed_at: u64,
+    expected: Option<u64>,
+    crc_bytes: &mut u64,
+) -> Option<u64> {
+    let stop = (bytes.len() as u64).min((failed_at + 1).saturating_add(SCAN_WINDOW));
+    // (offset, payload end, stored checksum) of every plausible header.
+    let candidates: Vec<(u64, u64, u32)> = (failed_at + 1..stop)
+        .filter_map(|at| {
+            let (payload_len, stored, seq) = frame_at(bytes, at)?;
+            let plausible = expected.is_none_or(|expected| {
+                seq >= expected && seq - expected <= (at - failed_at) / REC_HEADER
+            });
+            plausible.then_some((at, at + REC_HEADER + payload_len, stored))
+        })
+        .collect();
+    // A record's checksum covers `seq ‖ payload`: from `at + 8` to its end.
+    let mut marks: Vec<u64> = candidates
+        .iter()
+        .flat_map(|&(at, end, _)| [at + 8, end])
+        .collect();
+    marks.sort_unstable();
+    marks.dedup();
+    let mut h = Hasher::new();
+    let mut pos = failed_at;
+    let running: Vec<u32> = marks
+        .iter()
+        .map(|&mark| {
+            h.update(&bytes[pos as usize..mark as usize]);
+            pos = mark;
+            h.finish()
+        })
+        .collect();
+    *crc_bytes += pos - failed_at;
+    let crc_at = |offset| running[marks.binary_search(&offset).expect("marked offset")];
+    candidates.into_iter().find_map(|(at, end, stored)| {
+        let crc = crc32_of_suffix(crc_at(end), crc_at(at + 8), end - at - 8);
+        let payload = &bytes[(at + REC_HEADER) as usize..end as usize];
+        (crc == stored && decode_op(payload).is_ok()).then_some(at)
+    })
+}
+
+/// The payload length, stored checksum and sequence number in the
+/// record header at `at`, when the header and the payload it claims
+/// both fit in `bytes`.
+fn frame_at(bytes: &[u8], at: u64) -> Option<(u64, u32, u64)> {
+    let room = (bytes.len() as u64).checked_sub(at + REC_HEADER)?;
+    let p = at as usize;
+    let payload_len = u32::from_le_bytes(bytes[p..p + 4].try_into().unwrap()) as u64;
+    let stored = u32::from_le_bytes(bytes[p + 4..p + 8].try_into().unwrap());
+    let seq = u64::from_le_bytes(bytes[p + 8..p + 16].try_into().unwrap());
+    (payload_len <= room).then_some((payload_len, stored, seq))
 }
 
 /// Replay every segment in `dir` (which may not exist yet). Torn tails
@@ -325,6 +397,7 @@ pub fn replay_dir(dir: &Path) -> Result<ReplayedWal> {
         torn_tail: false,
         last_seq: 0,
         next_seq: 1,
+        scan_crc_bytes: 0,
         last_segment_index: 0,
         last_segment_valid_len: None,
     };
@@ -335,7 +408,12 @@ pub fn replay_dir(dir: &Path) -> Result<ReplayedWal> {
     let last_pos = segments.len().saturating_sub(1);
     let mut expected_seq = 0u64;
     for (i, (index, path)) in segments.iter().enumerate() {
-        match read_segment(path, &mut expected_seq, &mut replayed.records)? {
+        match read_segment(
+            path,
+            &mut expected_seq,
+            &mut replayed.records,
+            &mut replayed.scan_crc_bytes,
+        )? {
             SegmentEnd::Clean => {
                 if i == last_pos {
                     replayed.last_segment_valid_len = Some(
@@ -561,6 +639,7 @@ fn create_segment(dir: &Path, index: u64, first_seq: u64) -> Result<File> {
 mod tests {
     use super::*;
     use bda_storage::{Column, DataSet};
+    use proptest::prelude::*;
 
     fn tmp() -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -751,10 +830,117 @@ mod tests {
         // before the small record that follows it.
         bytes[(SEG_HEADER + REC_HEADER) as usize + 64] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
+        let started = std::time::Instant::now();
+        let err = replay_dir(&dir).unwrap_err();
+        let took = started.elapsed();
+        let msg = err.to_string();
+        assert!(msg.contains("interior corruption"), "{msg}");
+        // About one offset in eight of a counter payload has a length
+        // field that fits; checksumming each of those was quadratic.
+        if !cfg!(debug_assertions) {
+            assert!(
+                took < std::time::Duration::from_secs(1),
+                "replay took {took:?}"
+            );
+        }
+        let mut crc_bytes = 0;
+        assert!(read_segment(&path, &mut 0, &mut Vec::new(), &mut crc_bytes).is_err());
+        let size = bytes.len() as u64;
+        assert!(
+            crc_bytes <= 2 * size,
+            "{crc_bytes} bytes checksummed, segment {size}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn damage_across_the_oldest_header_and_first_record_is_refused() {
+        // The oldest segment's first_seq is not cross-checked by any
+        // earlier segment, so it cannot bound the scan's sequence filter:
+        // one run over first_seq and the first record's length and
+        // checksum must still find the intact records after it.
+        let dir = tmp();
+        let mut wal = open_empty(&dir);
+        for i in 0..3 {
+            wal.append(&store(&format!("t{i}"), i)).unwrap();
+        }
+        drop(wal);
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        for b in &mut bytes[12..22] {
+            *b ^= 0x5A;
+        }
+        fs::write(&path, &bytes).unwrap();
         let err = replay_dir(&dir).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("interior corruption"), "{msg}");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn payload_strategy() -> impl Strategy<Value = Vec<i64>> {
+        prop_oneof![
+            (1i64..20_000).prop_map(|n| (0..n).collect()),
+            prop::collection::vec(0i64..64, 1..4_000),
+            // Alternating (length, sequence)-shaped pairs.
+            (1i64..5_000, 1usize..2_000).prop_map(|(a, n)| [a, 1].repeat(n)),
+            prop::collection::vec(any::<i64>(), 1..2_000),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whatever the payloads hold and wherever a run of bytes is
+        /// damaged, telling tail from interior corruption checksums at
+        /// most twice the segment (one scan pass plus one boundary
+        /// probe), and replay refuses whenever an intact committed record
+        /// follows the damage.
+        #[test]
+        fn corruption_scan_is_linear_and_refuses_before_intact_records(
+            payloads in prop::collection::vec(payload_strategy(), 1..5),
+            frac in 0.0f64..1.0,
+            run in 1usize..64,
+            xor in 1u16..256,
+        ) {
+            let dir = tmp();
+            let mut wal = open_empty(&dir);
+            for (i, ks) in payloads.into_iter().enumerate() {
+                wal.append(&WalOp::Store {
+                    name: format!("t{i}"),
+                    data: DataSet::from_columns(vec![("k", Column::from(ks))]).unwrap(),
+                })
+                .unwrap();
+            }
+            drop(wal);
+            let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+            let mut bytes = fs::read(&path).unwrap();
+            let mut record_starts = Vec::new();
+            let mut next = SEG_HEADER;
+            while let Some((payload_len, _, _)) = frame_at(&bytes, next) {
+                record_starts.push(next as usize);
+                next += REC_HEADER + payload_len;
+            }
+            let body = bytes.len() - SEG_HEADER as usize;
+            let at = SEG_HEADER as usize + (body as f64 * frac) as usize;
+            let end = (at + run).min(bytes.len());
+            for b in &mut bytes[at..end] {
+                *b ^= xor as u8;
+            }
+            fs::write(&path, &bytes).unwrap();
+            let mut crc_bytes = 0;
+            let replayed = read_segment(&path, &mut 0, &mut Vec::new(), &mut crc_bytes);
+            prop_assert!(
+                crc_bytes <= 2 * bytes.len() as u64,
+                "{} bytes checksummed, segment {}", crc_bytes, bytes.len()
+            );
+            if record_starts.iter().any(|&start| start >= end) {
+                prop_assert!(
+                    replayed.is_err(),
+                    "damage at {}..{} truncated intact records after it", at, end
+                );
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use bda_core::codec::encode_plan;
 use bda_core::convergence::report;
 use bda_core::{pool, CoreError, Plan};
 use bda_obs::progress::ProgressHandle;
-use bda_obs::{flight, progress, SpanGuard, TraceContext, Tracer};
+use bda_obs::{flight, progress, scope, SpanGuard, Tracer};
 use bda_storage::wire::encode_dataset;
 use bda_storage::{DataSet, Row, Value};
 
@@ -201,8 +201,9 @@ pub fn execute_placement(
 /// staged fragment output whose events record every delivery attempt on
 /// the degradation ladder; `reship:{id}` spans for failover re-shipment;
 /// and a `transfer:result` span for the root result's return hop.
-/// Provider-side spans (per-operator timings, server handling) are
-/// absorbed under the owning fragment span.
+/// Provider-side spans (per-operator timings, server handling) land
+/// under the owning fragment span through the [`scope`] installed around
+/// each provider call.
 pub fn execute_placement_traced(
     registry: &Registry,
     placement: &Placement,
@@ -790,21 +791,8 @@ fn try_remote_push(
         tlog.event(|| "attempt:push".into());
         metrics.record_plan_shipment(&opts.net, plan_bytes.len());
         let before = wire_total(provider.as_ref());
-        let pushed = if tracer.is_enabled() {
-            let ctx = TraceContext {
-                trace_id: tracer.trace_id(),
-                parent_span: tlog.span_id().unwrap_or(0),
-            };
-            let anchor = tracer.now_ns();
-            provider
-                .execute_push_traced(&frag.plan, &dest_ep, &name, &ctx)
-                .map(|r| {
-                    r.map(|(bytes, spans)| {
-                        tracer.absorb_remote(spans, tlog.span_id(), anchor);
-                        bytes
-                    })
-                })
-        } else {
+        let pushed = {
+            let _scope = scope::install(tracer, provider.name(), tlog.span_id());
             provider.execute_push(&frag.plan, &dest_ep, &name)
         };
         match pushed {
@@ -943,21 +931,11 @@ fn execute_at(
         // attempt — retries are not free.
         metrics.record_plan_shipment(&opts.net, plan_bytes.len());
         let before = wire_total(provider.as_ref());
-        // When tracing, the provider call carries the trace context and
-        // returns its internal spans (per-operator timings, server-side
-        // handling), which land under this fragment's span anchored at
-        // the moment the call was issued.
-        let result = if tracer.is_enabled() {
-            let ctx = TraceContext {
-                trace_id: tracer.trace_id(),
-                parent_span: span.unwrap_or(0),
-            };
-            let anchor = tracer.now_ns();
-            provider.execute_traced(plan, &ctx).map(|(ds, spans)| {
-                tracer.absorb_remote(spans, span, anchor);
-                ds
-            })
-        } else {
+        // When tracing, the provider's internal spans (per-operator
+        // timings, server-side handling) land under this fragment's span
+        // through the thread-local scope.
+        let result = {
+            let _scope = scope::install(tracer, provider.name(), span);
             provider.execute(plan)
         };
         metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;

@@ -226,31 +226,6 @@ impl Provider for FaultyProvider {
     fn wire_bytes(&self) -> (u64, u64) {
         self.inner.wire_bytes()
     }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>)> {
-        // Same fault stream as `execute`: the decision is charged to the
-        // shared call counter, so a traced run sees identical faults.
-        self.faultable(self.config.execute_error_rate, "execute")?;
-        self.inner.execute_traced(plan, ctx)
-    }
-
-    fn execute_push_traced(
-        &self,
-        plan: &Plan,
-        peer_addr: &str,
-        dest_name: &str,
-        ctx: &bda_obs::TraceContext,
-    ) -> Option<Result<(u64, Vec<bda_obs::Span>)>> {
-        if let Err(e) = self.faultable(self.config.execute_error_rate, "push") {
-            return Some(Err(e));
-        }
-        self.inner
-            .execute_push_traced(plan, peer_addr, dest_name, ctx)
-    }
 }
 
 #[cfg(test)]
@@ -290,6 +265,24 @@ mod tests {
         };
         assert_eq!(outcomes(7), outcomes(7));
         assert_ne!(outcomes(7), outcomes(8), "different seeds differ");
+    }
+
+    #[test]
+    fn tracing_never_changes_which_calls_fail() {
+        // A trace rides the thread-local scope, not a second entry point,
+        // so a traced call draws from the same fault stream.
+        let outcomes = |tracer: &bda_obs::Tracer| -> Vec<bool> {
+            let f = FaultyProvider::new(inner(), FaultConfig::transient(7, 0.5));
+            let _scope = bda_obs::scope::install(tracer, f.name(), None);
+            (0..32).map(|_| f.execute(&scan(&f)).is_ok()).collect()
+        };
+        let tracer = bda_obs::Tracer::new(7);
+        let traced = outcomes(&tracer);
+        assert_eq!(traced, outcomes(&bda_obs::Tracer::disabled()));
+        // Every call that got past the fault reached the engine traced.
+        let ok = traced.iter().filter(|&&ok| ok).count();
+        assert!(ok > 0 && ok < 32, "seed 7 at p=0.5 mixes outcomes");
+        assert_eq!(tracer.finish().spans_named("op:scan").len(), ok);
     }
 
     #[test]

@@ -527,39 +527,6 @@ impl Provider for MaskedProvider {
     fn wire_bytes(&self) -> (u64, u64) {
         self.inner.wire_bytes()
     }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(bda_storage::DataSet, Vec<bda_obs::Span>)> {
-        let unsupported = self.capabilities().unsupported_in(plan);
-        if !unsupported.is_empty() {
-            return Err(CoreError::Unsupported {
-                provider: self.name().to_string(),
-                op: unsupported
-                    .iter()
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            });
-        }
-        self.inner.execute_traced(plan, ctx)
-    }
-
-    fn execute_push_traced(
-        &self,
-        plan: &Plan,
-        peer_addr: &str,
-        dest_name: &str,
-        ctx: &bda_obs::TraceContext,
-    ) -> Option<Result<(u64, Vec<bda_obs::Span>)>> {
-        if !self.capabilities().unsupported_in(plan).is_empty() {
-            return None;
-        }
-        self.inner
-            .execute_push_traced(plan, peer_addr, dest_name, ctx)
-    }
 }
 
 #[cfg(test)]

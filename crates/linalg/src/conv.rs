@@ -86,8 +86,8 @@ pub fn from_matrix(m: Matrix, out_schema: Schema) -> Result<DataSet> {
 
 /// Execute a plan against the engine's matrix map.
 pub fn execute(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<DataSet> {
-    // Per-operator tracing when a scope is installed (`execute_traced`);
-    // one inert thread-local check otherwise.
+    // Per-operator tracing when the caller installed a scope; one inert
+    // thread-local check otherwise.
     let mut node = bda_obs::scope::enter(|| format!("op:{}", plan.op_kind().name()));
     let out = execute_node(plan, matrices);
     if let (Some(n), Ok(ds)) = (node.as_mut(), &out) {

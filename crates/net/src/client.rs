@@ -11,7 +11,10 @@
 //! idle close — discards it and redials once within the same attempt.
 //! Real wire traffic is counted on atomic counters, which the
 //! federation's metrics read to report actual bytes alongside the
-//! simulated network model.
+//! simulated network model. A trace reaches the server the same way it
+//! reaches an in-process engine: `execute` and `execute_push` called
+//! under an installed `bda_obs::scope` go out as `Traced` requests and
+//! absorb the server's spans into that scope's tracer.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +22,6 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use bda_core::{CapabilitySet, CoreError, Plan, Provider};
-use bda_obs::{Span, TraceContext};
 use bda_storage::{DataSet, Schema};
 
 use rand::rngs::StdRng;
@@ -193,30 +195,20 @@ impl RemoteProvider {
             .collect()
     }
 
-    /// Issue `inner` wrapped in [`Request::Traced`]: the server handles
-    /// it while recording spans and sends them back. Returns the inner
-    /// response plus those spans, still in the *server's* clock and id
-    /// space — the caller anchors and remaps them (`absorb_remote`).
-    /// A server-side error inside the wrapper converts to the same
-    /// [`CoreError`] shapes [`RemoteProvider::request`] produces.
-    fn request_traced(&self, inner: Request, ctx: &TraceContext) -> Result<(Response, Vec<Span>)> {
-        let resp = self.request(&Request::Traced {
-            trace_id: ctx.trace_id,
-            parent_span: ctx.parent_span,
-            inner: Box::new(inner),
-        })?;
-        match resp {
-            Response::Traced { spans, inner } => match *inner {
-                Response::Error { msg, transient } if transient => Err(CoreError::transient(
-                    CoreError::Net(format!("remote `{}`: {msg}", self.addr)),
-                )),
-                Response::Error { msg, .. } => Err(CoreError::Remote {
-                    addr: self.addr.clone(),
-                    msg,
-                }),
-                resp => Ok((resp, spans)),
-            },
-            other => Err(unexpected("Traced", &other)),
+    /// Issue `req` under the [`bda_obs::scope`] installed on this thread,
+    /// if any (see [`send_in_scope`]). A server-side error inside the
+    /// `Traced` wrapper converts to the same [`CoreError`] shapes
+    /// [`RemoteProvider::request`] produces.
+    fn request_in_scope(&self, req: Request) -> Result<Response> {
+        match send_in_scope(req, |req| self.request(req))? {
+            Response::Error { msg, transient } if transient => Err(CoreError::transient(
+                CoreError::Net(format!("remote `{}`: {msg}", self.addr)),
+            )),
+            Response::Error { msg, .. } => Err(CoreError::Remote {
+                addr: self.addr.clone(),
+                msg,
+            }),
+            resp => Ok(resp),
         }
     }
 
@@ -353,6 +345,37 @@ impl FlushWrite for TcpStream {
     }
 }
 
+/// Send `req` through `send` under the [`bda_obs::scope`] installed on
+/// this thread, if any: the request goes out wrapped in
+/// [`Request::Traced`], and the server's spans come back and land in the
+/// scope's tracer under its innermost open span, anchored at the moment
+/// the call was issued. Returns the unwrapped response. Both the
+/// application's client and a server's push to a peer carry their scope
+/// over the wire through here.
+pub(crate) fn send_in_scope(
+    req: Request,
+    send: impl FnOnce(&Request) -> Result<Response>,
+) -> Result<Response> {
+    let Some(scope) = bda_obs::scope::snapshot() else {
+        return send(&req);
+    };
+    let anchor = scope.tracer.now_ns();
+    let resp = send(&Request::Traced {
+        trace_id: scope.tracer.trace_id(),
+        parent_span: scope.parent.unwrap_or(0),
+        inner: Box::new(req),
+    })?;
+    match resp {
+        Response::Traced { spans, inner } => {
+            scope.tracer.absorb_remote(spans, scope.parent, anchor);
+            Ok(*inner)
+        }
+        // A reply the server made before unwrapping the request (an
+        // admission refusal, say) carries no spans.
+        resp => Ok(resp),
+    }
+}
+
 fn unexpected(what: &str, got: &Response) -> CoreError {
     CoreError::Net(format!("unexpected response to {what}: {got:?}"))
 }
@@ -373,7 +396,7 @@ impl Provider for RemoteProvider {
     }
 
     fn execute(&self, plan: &Plan) -> Result<DataSet> {
-        match self.request(&Request::Execute { plan: plan.clone() })? {
+        match self.request_in_scope(Request::Execute { plan: plan.clone() })? {
             Response::DataSet(ds) => Ok(ds),
             other => Err(unexpected("Execute", &other)),
         }
@@ -440,7 +463,7 @@ impl Provider for RemoteProvider {
 
     fn execute_push(&self, plan: &Plan, peer_addr: &str, dest_name: &str) -> Option<Result<u64>> {
         Some(
-            match self.request(&Request::ExecutePush {
+            match self.request_in_scope(Request::ExecutePush {
                 dest_addr: peer_addr.to_string(),
                 dest_name: dest_name.to_string(),
                 plan: plan.clone(),
@@ -461,32 +484,6 @@ impl Provider for RemoteProvider {
 
     fn metrics_text(&self) -> Option<String> {
         RemoteProvider::metrics_text(self).ok()
-    }
-
-    fn execute_traced(&self, plan: &Plan, ctx: &TraceContext) -> Result<(DataSet, Vec<Span>)> {
-        match self.request_traced(Request::Execute { plan: plan.clone() }, ctx)? {
-            (Response::DataSet(ds), spans) => Ok((ds, spans)),
-            (other, _) => Err(unexpected("Execute", &other)),
-        }
-    }
-
-    fn execute_push_traced(
-        &self,
-        plan: &Plan,
-        peer_addr: &str,
-        dest_name: &str,
-        ctx: &TraceContext,
-    ) -> Option<Result<(u64, Vec<Span>)>> {
-        let req = Request::ExecutePush {
-            dest_addr: peer_addr.to_string(),
-            dest_name: dest_name.to_string(),
-            plan: plan.clone(),
-        };
-        Some(match self.request_traced(req, ctx) {
-            Ok((Response::Pushed { bytes }, spans)) => Ok((bytes, spans)),
-            Ok((other, _)) => Err(unexpected("ExecutePush", &other)),
-            Err(e) => Err(e),
-        })
     }
 }
 

@@ -18,8 +18,9 @@ use std::time::Duration;
 
 use bda_core::Provider;
 use bda_obs::meter::UsageBook;
-use bda_obs::{MetricsHub, TraceContext, Tracer};
+use bda_obs::{scope, MetricsHub, SpanGuard, Tracer};
 
+use crate::client::send_in_scope;
 use crate::frame::{read_message, write_message, HEADER_LEN, MAX_FRAME_PAYLOAD};
 use crate::proto::{
     decode_request, encode_request, encode_response, CatalogEntry, Request, Response,
@@ -235,19 +236,34 @@ impl RequestHandler {
     }
 
     fn handle_request(&self, req: &Request) -> Result<Response> {
-        self.handle_request_as(req, None)
+        self.handle_request_as(req, None, None)
     }
 
-    fn handle_request_as(&self, req: &Request, tenant: Option<&str>) -> Result<Response> {
+    /// Answer one request. `tenant` is the identity a `Tenant` wrapper
+    /// carried; `serve` is the `serve:<kind>` span a `Traced` wrapper
+    /// opened, which the data-plane arms annotate with rows and bytes.
+    fn handle_request_as(
+        &self,
+        req: &Request,
+        tenant: Option<&str>,
+        mut serve: Option<&mut SpanGuard>,
+    ) -> Result<Response> {
         let engine = self.engine.as_ref();
+        let mut execute = |plan| -> Result<bda_storage::DataSet> {
+            let out = engine.execute(plan)?;
+            if let Some(serve) = serve.as_deref_mut() {
+                serve.set_rows(out.num_rows());
+            }
+            Ok(out)
+        };
         Ok(match req {
             Request::Hello => Response::Hello {
                 name: engine.name().to_string(),
                 capabilities: engine.capabilities(),
             },
-            Request::Execute { plan } => Response::DataSet(engine.execute(plan)?),
+            Request::Execute { plan } => Response::DataSet(execute(plan)?),
             Request::ExecuteStore { name, plan } => {
-                let out = engine.execute(plan)?;
+                let out = execute(plan)?;
                 engine.store(name, out)?;
                 Response::Ack
             }
@@ -256,8 +272,11 @@ impl RequestHandler {
                 dest_name,
                 plan,
             } => {
-                let out = engine.execute(plan)?;
-                let bytes = push_to_peer(dest_addr, dest_name, out, &Tracer::disabled(), None)?;
+                let out = execute(plan)?;
+                let bytes = push_to_peer(dest_addr, dest_name, out)?;
+                if let Some(serve) = serve {
+                    serve.set_bytes(bytes);
+                }
                 Response::Pushed { bytes }
             }
             Request::Store { name, data } => {
@@ -312,12 +331,28 @@ impl RequestHandler {
             } => {
                 // The client does the stitching: server-side spans go back
                 // rootless (in this server's own id/clock space) and the
-                // client remaps, anchors, and parents them. Errors still
-                // travel inside `Traced` so the spans survive the failure.
+                // client remaps, anchors, and parents them. The engine's
+                // per-operator spans land under the `serve:<kind>` span
+                // through the scope installed around the ordinary arms.
+                // Errors still travel inside `Traced` so the spans survive
+                // the failure.
                 let tracer = Tracer::with_trace_id(*trace_id);
-                let resp = self
-                    .handle_traced(&tracer, inner, tenant)
-                    .unwrap_or_else(|e| Response::from_error(&e));
+                let mut serve = tracer.start(
+                    None,
+                    || format!("serve:{}", request_kind(inner)),
+                    engine.name(),
+                );
+                if let Some(tenant) = tenant {
+                    // Stamp the identity into the span tree so flight
+                    // dumps, traces, and profiles join on the same key.
+                    serve.event(|| format!("tenant:{tenant}"));
+                }
+                let resp = {
+                    let _scope = scope::install(&tracer, engine.name(), serve.id());
+                    self.handle_request_as(inner, tenant, Some(&mut serve))
+                        .unwrap_or_else(|e| Response::from_error(&e))
+                };
+                serve.finish();
                 Response::Traced {
                     spans: tracer.take_spans(),
                     inner: Box::new(resp),
@@ -328,7 +363,7 @@ impl RequestHandler {
                 // produced — including errors, so a pipelining client can
                 // always match a failure to the right in-flight call.
                 let resp = self
-                    .handle_request_as(inner, tenant)
+                    .handle_request_as(inner, tenant, None)
                     .unwrap_or_else(|e| Response::from_error(&e));
                 Response::Pipelined {
                     tag: *tag,
@@ -339,70 +374,10 @@ impl RequestHandler {
                 // The reply is the inner reply — there is no tenant
                 // response wrapper. The identity rides down so a traced
                 // request stamps it on its serve span.
-                self.handle_request_as(inner, Some(tenant))
+                self.handle_request_as(inner, Some(tenant), None)
                     .unwrap_or_else(|e| Response::from_error(&e))
             }
         })
-    }
-
-    /// Handle the request inside a [`Request::Traced`] wrapper under a
-    /// `serve:<kind>` span, using the engine's traced entry points so its
-    /// per-operator spans land in the same trace.
-    fn handle_traced(
-        &self,
-        tracer: &Tracer,
-        req: &Request,
-        tenant: Option<&str>,
-    ) -> Result<Response> {
-        let engine = self.engine.as_ref();
-        let mut serve = tracer.start(
-            None,
-            || format!("serve:{}", request_kind(req)),
-            engine.name(),
-        );
-        if let Some(tenant) = tenant {
-            // Stamp the identity into the span tree so flight dumps,
-            // traces, and profiles join on the same key.
-            serve.event(|| format!("tenant:{tenant}"));
-        }
-        let ctx = TraceContext {
-            trace_id: tracer.trace_id(),
-            parent_span: serve.id().unwrap_or(0),
-        };
-        let resp = match req {
-            Request::Execute { plan } => {
-                let anchor = tracer.now_ns();
-                let (out, spans) = engine.execute_traced(plan, &ctx)?;
-                tracer.absorb_remote(spans, serve.id(), anchor);
-                serve.set_rows(out.num_rows());
-                Response::DataSet(out)
-            }
-            Request::ExecuteStore { name, plan } => {
-                let anchor = tracer.now_ns();
-                let (out, spans) = engine.execute_traced(plan, &ctx)?;
-                tracer.absorb_remote(spans, serve.id(), anchor);
-                serve.set_rows(out.num_rows());
-                engine.store(name, out)?;
-                Response::Ack
-            }
-            Request::ExecutePush {
-                dest_addr,
-                dest_name,
-                plan,
-            } => {
-                let anchor = tracer.now_ns();
-                let (out, spans) = engine.execute_traced(plan, &ctx)?;
-                tracer.absorb_remote(spans, serve.id(), anchor);
-                serve.set_rows(out.num_rows());
-                let bytes = push_to_peer(dest_addr, dest_name, out, tracer, serve.id())?;
-                serve.set_bytes(bytes);
-                Response::Pushed { bytes }
-            }
-            // Control-plane work under the serve span, no deeper spans.
-            other => self.handle_request(other)?,
-        };
-        serve.finish();
-        Ok(resp)
     }
 }
 
@@ -485,16 +460,10 @@ fn response_outcome(resp: &Response) -> &'static str {
 
 /// The direct server-to-server hop: open a connection to the peer and
 /// store the dataset there, bypassing the application tier entirely.
-/// Returns the framed bytes sent to the peer. With an enabled `tracer`
-/// the store is wrapped in [`Request::Traced`] so the *peer's* spans
-/// come back and land under `parent` in this trace.
-fn push_to_peer(
-    dest_addr: &str,
-    dest_name: &str,
-    data: bda_storage::DataSet,
-    tracer: &Tracer,
-    parent: Option<u64>,
-) -> Result<u64> {
+/// Returns the framed bytes sent to the peer. Under an installed
+/// [`scope`] the store is wrapped in [`Request::Traced`] so the *peer's*
+/// spans come back and land under the scope's innermost open span.
+fn push_to_peer(dest_addr: &str, dest_name: &str, data: bda_storage::DataSet) -> Result<u64> {
     use bda_core::CoreError;
     let net = |e: std::io::Error| CoreError::Net(format!("push to {dest_addr}: {e}"));
     let addrs: Vec<SocketAddr> = std::net::ToSocketAddrs::to_socket_addrs(dest_addr)
@@ -510,26 +479,15 @@ fn push_to_peer(
         name: dest_name.to_string(),
         data,
     };
-    let req = if tracer.is_enabled() {
-        Request::Traced {
-            trace_id: tracer.trace_id(),
-            parent_span: parent.unwrap_or(0),
-            inner: Box::new(store),
-        }
-    } else {
-        store
-    };
-    let anchor = tracer.now_ns();
-    let (kind, payload) = encode_request(&req);
-    let sent = write_message(&mut conn, kind, &payload).map_err(net)?;
-    conn.flush().map_err(net)?;
-    let (rkind, rpayload, _) =
-        read_message(&mut conn).map_err(|e| CoreError::Net(format!("push to {dest_addr}: {e}")))?;
-    let mut resp = crate::proto::decode_response(rkind, &rpayload)?;
-    if let Response::Traced { spans, inner } = resp {
-        tracer.absorb_remote(spans, parent, anchor);
-        resp = *inner;
-    }
+    let mut sent = 0;
+    let resp = send_in_scope(store, |req| {
+        let (kind, payload) = encode_request(req);
+        sent = write_message(&mut conn, kind, &payload).map_err(net)?;
+        conn.flush().map_err(net)?;
+        let (rkind, rpayload, _) = read_message(&mut conn)
+            .map_err(|e| CoreError::Net(format!("push to {dest_addr}: {e}")))?;
+        crate::proto::decode_response(rkind, &rpayload)
+    })?;
     match resp {
         Response::Ack => Ok(sent),
         Response::Error { msg, transient } if transient => Err(CoreError::transient(

@@ -213,16 +213,25 @@ mod tests {
         let server = serve(engine, "127.0.0.1:0").unwrap();
         let remote = RemoteProvider::connect(server.addr().to_string()).unwrap();
         let plan = Plan::scan("t", sample().schema().clone()).select(col("v").gt(lit(2.0)));
-        let ctx = bda_obs::TraceContext {
-            trace_id: 0xFEED,
-            parent_span: 7,
+        // A plain `execute` under an installed scope is a traced call.
+        let tracer = bda_obs::Tracer::with_trace_id(0xFEED);
+        let call = tracer.start(None, || "call".into(), "app");
+        let out = {
+            let _scope = bda_obs::scope::install(&tracer, "ref", call.id());
+            remote.execute(&plan).unwrap()
         };
-        let (out, spans) = remote.execute_traced(&plan, &ctx).unwrap();
+        let call_id = call.id();
+        drop(call);
         assert_eq!(out.num_rows(), 2);
+        let spans = tracer.finish().spans;
         let serve_span = spans
             .iter()
             .find(|s| s.name == "serve:execute")
             .expect("serve span present");
+        assert_eq!(
+            serve_span.parent, call_id,
+            "absorbed under the scope's span"
+        );
         assert_eq!(serve_span.site, "ref");
         assert_eq!(serve_span.rows, Some(2));
         // The engine's per-operator spans came along, parented under it.
@@ -243,13 +252,15 @@ mod tests {
         let engine = Arc::new(ReferenceProvider::new("ref"));
         let server = serve(engine, "127.0.0.1:0").unwrap();
         let remote = RemoteProvider::connect(server.addr().to_string()).unwrap();
-        let ctx = bda_obs::TraceContext {
-            trace_id: 1,
-            parent_span: 0,
-        };
+        let tracer = bda_obs::Tracer::with_trace_id(1);
         let plan = Plan::scan("missing", sample().schema().clone());
-        let err = remote.execute_traced(&plan, &ctx).unwrap_err();
+        let err = {
+            let _scope = bda_obs::scope::install(&tracer, "ref", None);
+            remote.execute(&plan).unwrap_err()
+        };
         assert!(err.to_string().contains("missing"), "{err}");
+        // The server's spans survive the failure.
+        assert_eq!(tracer.finish().spans_named("serve:execute").len(), 1);
     }
 
     #[test]

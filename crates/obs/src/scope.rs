@@ -1,13 +1,20 @@
-//! Thread-local span scope: per-operator tracing for recursive
-//! evaluators without touching their signatures.
+//! Thread-local span scope: the one way a trace reaches a provider.
 //!
-//! An engine's `execute_traced` [`install`]s a scope (tracer + site) for
-//! the current thread; the engine's recursive executor calls [`enter`]
-//! at the top of each plan node. When no scope is installed — the
-//! common, untraced case — `enter` is a single thread-local borrow that
-//! returns `None` and allocates nothing (the name closure never runs).
-//! Nesting comes for free: each [`Node`] pushes itself as the parent for
-//! spans opened deeper in the recursion and pops on drop.
+//! Whoever calls into a provider with a trace open — the federation
+//! executor around each fragment, the protocol handler around each
+//! `Traced` request — [`install`]s a scope (tracer + site + parent span)
+//! for the current thread and makes a plain `Provider::execute` call.
+//! Engines' recursive executors call [`enter`] at the top of each plan
+//! node; a remote client reads [`snapshot`] to forward the trace over
+//! the wire. Decorators need do nothing: the scope rides the thread, so
+//! a wrapper that only forwards `execute` cannot drop spans.
+//!
+//! When no scope is installed — the common, untraced case — `enter` is
+//! a single thread-local borrow that returns `None` and allocates
+//! nothing (the name closure never runs). Nesting comes for free: each
+//! [`Node`] pushes itself as the parent for spans opened deeper in the
+//! recursion and pops on drop, and an [`install`] inside another scope
+//! restores the outer one when its guard drops.
 
 use std::cell::RefCell;
 
@@ -23,12 +30,14 @@ struct State {
     parents: Vec<u64>,
 }
 
-/// The installed scope; dropping it uninstalls.
-pub struct Installed(());
+/// The installed scope; dropping it restores whatever scope (or none)
+/// was installed before it.
+pub struct Installed(Option<State>);
 
 impl Drop for Installed {
     fn drop(&mut self) {
-        SCOPE.with(|s| *s.borrow_mut() = None);
+        let previous = self.0.take();
+        SCOPE.with(|s| *s.borrow_mut() = previous);
     }
 }
 
@@ -40,14 +49,14 @@ pub fn install(tracer: &Tracer, site: &str, parent: Option<u64>) -> Option<Insta
     if !tracer.is_enabled() {
         return None;
     }
-    SCOPE.with(|s| {
-        *s.borrow_mut() = Some(State {
+    let previous = SCOPE.with(|s| {
+        s.borrow_mut().replace(State {
             tracer: tracer.clone(),
             site: site.to_string(),
             parents: parent.into_iter().collect(),
         })
     });
-    Some(Installed(()))
+    Some(Installed(previous))
 }
 
 /// One traced plan node; finishes its span and pops the parent stack on
@@ -161,6 +170,31 @@ mod tests {
         assert_eq!(join.parent, None);
         assert_eq!(join.rows, Some(5));
         assert_eq!(join.site, "rel");
+    }
+
+    #[test]
+    fn nested_install_restores_the_outer_scope() {
+        let outer_t = Tracer::new(1);
+        let inner_t = Tracer::new(2);
+        {
+            let _outer = install(&outer_t, "app", None);
+            let _before = enter(|| "op:before".into()).unwrap();
+            {
+                let _inner = install(&inner_t, "rel", None);
+                drop(enter(|| "op:inner".into()).unwrap());
+                assert_eq!(snapshot().unwrap().site, "rel");
+            }
+            // The outer scope is back, parent stack included.
+            let snap = snapshot().unwrap();
+            assert_eq!(snap.site, "app");
+            drop(enter(|| "op:after".into()).unwrap());
+        }
+        assert!(snapshot().is_none());
+        let outer = outer_t.finish();
+        let before = outer.spans_named("op:before")[0];
+        assert_eq!(outer.spans_named("op:after")[0].parent, Some(before.id));
+        assert!(outer.spans_named("op:inner").is_empty());
+        assert_eq!(inner_t.finish().spans_named("op:inner").len(), 1);
     }
 
     #[test]

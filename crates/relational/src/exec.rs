@@ -28,8 +28,8 @@ pub fn execute(
     tables: &BTreeMap<String, DataSet>,
     state: Option<&DataSet>,
 ) -> Result<DataSet> {
-    // Per-operator tracing when a scope is installed (`execute_traced`);
-    // one inert thread-local check otherwise.
+    // Per-operator tracing when the caller installed a scope; one inert
+    // thread-local check otherwise.
     let mut node = bda_obs::scope::enter(|| format!("op:{}", plan.op_kind().name()));
     let out = execute_node(plan, tables, state);
     if let (Some(n), Ok(ds)) = (node.as_mut(), &out) {

@@ -11,12 +11,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bda::core::reference::evaluate;
-use bda::core::Provider;
+use bda::core::{CapabilitySet, CoreError, Plan, Provider};
 use bda::federation::{ExecOptions, Federation, TransferMode};
 use bda::lang::Query;
 use bda::linalg::LinAlgEngine;
 use bda::relational::RelationalEngine;
-use bda::storage::{Column, DataSet};
+use bda::storage::{Column, DataSet, Schema};
 use bda::workloads::random_matrix;
 use bda_net::{serve, RemoteProvider, ServerHandle};
 
@@ -31,26 +31,42 @@ fn lookup_table() -> DataSet {
     .unwrap()
 }
 
-/// Two engines, each behind its own TCP server on 127.0.0.1.
-fn remote_federation() -> (Federation, Vec<ServerHandle>) {
+/// How each provider is mounted into a federation or a server.
+type Mount = fn(Arc<dyn Provider>) -> Arc<dyn Provider>;
+
+fn bare(p: Arc<dyn Provider>) -> Arc<dyn Provider> {
+    p
+}
+
+/// The linalg and relational engines with the test data, each mounted.
+fn engines(mount: Mount) -> [Arc<dyn Provider>; 2] {
     let la = LinAlgEngine::new("la");
     la.store("a", random_matrix(8, 8, 1)).unwrap();
     la.store("b", random_matrix(8, 8, 2)).unwrap();
 
     let rel = RelationalEngine::new("rel");
     rel.store("lookup", lookup_table()).unwrap();
+    [mount(Arc::new(la)), mount(Arc::new(rel))]
+}
 
-    let server_la = serve(Arc::new(la), "127.0.0.1:0").unwrap();
-    let server_rel = serve(Arc::new(rel), "127.0.0.1:0").unwrap();
+/// Two engines, each behind its own TCP server on 127.0.0.1.
+fn remote_federation() -> (Federation, Vec<ServerHandle>) {
+    remote_federation_with(bare)
+}
 
+/// [`remote_federation`], with `mount` applied to each engine before it
+/// is served and to each client before it is registered.
+fn remote_federation_with(mount: Mount) -> (Federation, Vec<ServerHandle>) {
     let mut fed = Federation::new();
-    fed.register(Arc::new(
-        RemoteProvider::connect(server_la.addr().to_string()).unwrap(),
-    ));
-    fed.register(Arc::new(
-        RemoteProvider::connect(server_rel.addr().to_string()).unwrap(),
-    ));
-    (fed, vec![server_la, server_rel])
+    let mut servers = Vec::new();
+    for engine in engines(mount) {
+        let server = serve(engine, "127.0.0.1:0").unwrap();
+        fed.register(mount(Arc::new(
+            RemoteProvider::connect(server.addr().to_string()).unwrap(),
+        )));
+        servers.push(server);
+    }
+    (fed, servers)
 }
 
 /// The cross-server plan: matmul on the linalg server, join on the
@@ -285,13 +301,63 @@ fn traced_tcp_run_reassembles_one_cross_process_trace() {
 
 #[test]
 fn explain_analyze_works_across_real_sockets() {
-    let (mut fed, _servers) = remote_federation();
-    fed.options_mut().transfer = TransferMode::RemoteTcp;
-    let plan = join_matmul_plan(&fed);
-    let report = fed.explain_analyze(&plan, 7).unwrap();
-    assert!(report.contains("query @ app"), "{report}");
-    assert!(report.contains("op:matmul @ la"), "{report}");
-    assert!(report.contains("op:join @ rel"), "{report}");
-    assert!(report.contains("serve:execute"), "{report}");
-    assert!(report.contains("== metrics =="), "{report}");
+    // Bare, and behind a decorator that implements only `execute`: the
+    // engines' spans reach the report through the ambient trace scope,
+    // not through methods a decorator has to forward.
+    for mount in [bare as Mount, execute_only] {
+        let (mut fed, _servers) = remote_federation_with(mount);
+        fed.options_mut().transfer = TransferMode::RemoteTcp;
+        let plan = join_matmul_plan(&fed);
+        let report = fed.explain_analyze(&plan, 7).unwrap();
+        assert!(report.contains("query @ app"), "{report}");
+        assert!(report.contains("op:matmul @ la"), "{report}");
+        assert!(report.contains("op:join @ rel"), "{report}");
+        assert!(report.contains("serve:execute"), "{report}");
+        assert!(report.contains("== metrics =="), "{report}");
+        assert!(report.contains("== calibration =="), "{report}");
+
+        // The same engines in process.
+        let mut local = Federation::new();
+        for engine in engines(mount) {
+            local.register(engine);
+        }
+        let report = local.explain_analyze(&plan, 7).unwrap();
+        assert!(report.contains("op:matmul @ la"), "{report}");
+        assert!(report.contains("op:join @ rel"), "{report}");
+        assert!(report.contains("== calibration =="), "{report}");
+    }
+}
+
+/// A decorator that implements only `execute` among the execution
+/// entry points, the way timing and fault-injection wrappers do.
+struct ExecuteOnly(Arc<dyn Provider>);
+
+fn execute_only(p: Arc<dyn Provider>) -> Arc<dyn Provider> {
+    Arc::new(ExecuteOnly(p))
+}
+
+impl Provider for ExecuteOnly {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn capabilities(&self) -> CapabilitySet {
+        self.0.capabilities()
+    }
+
+    fn catalog(&self) -> Vec<(String, Schema)> {
+        self.0.catalog()
+    }
+
+    fn execute(&self, plan: &Plan) -> Result<DataSet, CoreError> {
+        self.0.execute(plan)
+    }
+
+    fn store(&self, name: &str, data: DataSet) -> Result<(), CoreError> {
+        self.0.store(name, data)
+    }
+
+    fn remove(&self, name: &str) {
+        self.0.remove(name)
+    }
 }
