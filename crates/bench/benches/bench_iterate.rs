@@ -6,6 +6,7 @@ use std::time::Duration;
 use bda_bench::setup::{masked_registry, standard_federation, subset_registry, FederationSpec};
 use bda_core::{GraphOp, OpKind, Plan};
 use bda_federation::{run_plan, ExecOptions, Registry};
+use bda_obs::Tracer;
 use bda_workloads::GraphSpec;
 
 fn pagerank_plan(reg: &Registry) -> Plan {
@@ -45,7 +46,7 @@ fn bench_iterate(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("lowered_server_side_loop", v),
             &v,
-            |b, _| b.iter(|| run_plan(&rel_only, &plan, &opts).unwrap()),
+            |b, _| b.iter(|| run_plan(&rel_only, &plan, &opts, &Tracer::disabled(), None).unwrap()),
         );
 
         let masked = masked_registry(&fed, "rel", vec![OpKind::Iterate]);
@@ -59,7 +60,7 @@ fn bench_iterate(c: &mut Criterion) {
             out
         };
         group.bench_with_input(BenchmarkId::new("client_driven_loop", v), &v, |b, _| {
-            b.iter(|| run_plan(&client, &plan, &opts).unwrap())
+            b.iter(|| run_plan(&client, &plan, &opts, &Tracer::disabled(), None).unwrap())
         });
     }
     group.finish();

@@ -493,15 +493,17 @@ pub fn f4_iteration(vertex_counts: &[usize]) -> Table {
         // Mode 2: relational only — pre-lowered, loop still server-side.
         let rel_only = subset_registry(&fed, &["rel"]);
         let opts = ExecOptions::default();
-        let ((out_rel, m2), s2) =
-            time(|| bda_federation::run_plan(&rel_only, &pagerank, &opts).unwrap());
+        let untraced = bda_obs::Tracer::disabled();
+        let ((out_rel, m2), s2) = time(|| {
+            bda_federation::run_plan(&rel_only, &pagerank, &opts, &untraced, None).unwrap()
+        });
         // Mode 3: relational without Iterate — the app drives the loop,
         // shipping the rank vector every iteration.
         let masked_fed = standard_federation(spec);
         let client = masked_registry(&masked_fed, "rel", vec![OpKind::Iterate]);
         let client = subset_only(client, "rel");
         let ((out_client, m3), s3) =
-            time(|| bda_federation::run_plan(&client, &pagerank, &opts).unwrap());
+            time(|| bda_federation::run_plan(&client, &pagerank, &opts, &untraced, None).unwrap());
 
         assert!(out_native.same_bag_approx(&out_rel), "native vs lowered");
         assert!(out_native.same_bag_approx(&out_client), "native vs client");

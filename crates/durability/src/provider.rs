@@ -25,9 +25,10 @@
 //!    final record, refusing interior corruption (see [`crate::wal`]).
 //! 3. Open the log for appending at the next sequence number.
 //!
-//! The report of what happened — and per-dataset `recovery:{name}`
-//! spans when a tracer is supplied — comes back in
-//! [`RecoveryReport`].
+//! The report of what happened comes back in [`RecoveryReport`]. When
+//! the caller has a tracing scope installed ([`bda_obs::scope`]),
+//! recovery also records a `recovery` span with one `recovery:{name}`
+//! child per restored dataset or replayed record.
 //!
 //! ## Ephemeral names
 //!
@@ -46,7 +47,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bda_core::{CapabilitySet, CoreError, Plan, Provider};
-use bda_obs::{MetricsHub, Tracer};
+use bda_obs::{scope, MetricsHub};
 use bda_storage::{DataSet, IndexKind, Schema};
 
 use crate::changes::{ChangeHub, ChangeStream, Delta};
@@ -200,23 +201,14 @@ pub struct DurableProvider {
 
 impl DurableProvider {
     /// Recover state from `options.dir` into `inner`, then wrap it so
-    /// every later mutation is logged. `tracer` (optional) receives one
-    /// `recovery:{dataset}` span per restored dataset plus a parent
-    /// `recovery` span.
+    /// every later mutation is logged. Under an installed
+    /// [`bda_obs::scope`], recovery records a parent `recovery` span and
+    /// one `recovery:{dataset}` span per restored dataset or replayed
+    /// record.
     pub fn open(inner: Arc<dyn Provider>, options: Options) -> Result<DurableProvider> {
-        DurableProvider::open_traced(inner, options, &Tracer::disabled())
-    }
-
-    /// [`DurableProvider::open`] with recovery spans.
-    pub fn open_traced(
-        inner: Arc<dyn Provider>,
-        options: Options,
-        tracer: &Tracer,
-    ) -> Result<DurableProvider> {
         let started = Instant::now();
         let metrics = options.metrics.clone().unwrap_or_default();
-        let site = inner.name().to_string();
-        let mut root = tracer.start(None, || "recovery".to_string(), &site);
+        let mut root = scope::enter(|| "recovery".to_string());
 
         // 1. Snapshot.
         let snap = snapshot::load_latest(&options.snapshot_dir())?;
@@ -226,10 +218,11 @@ impl DurableProvider {
         };
         if let Some(s) = snap {
             for (name, data) in s.datasets {
-                let mut span = tracer.start(root.id(), || format!("recovery:{name}"), &site);
-                span.set_rows(data.num_rows());
+                let mut span = scope::enter(|| format!("recovery:{name}"));
+                if let Some(span) = &mut span {
+                    span.rows(data.num_rows());
+                }
                 inner.store(&name, data)?;
-                span.finish();
             }
             // Rebuild snapshotted index specs from the recovered data;
             // the bytes are deterministic, so this matches the
@@ -248,10 +241,12 @@ impl DurableProvider {
         replayed.next_seq = replayed.next_seq.max(snapshot_seq + 1);
         let wal_records_replayed = replayed.records.len();
         for (_, op) in &replayed.records {
-            let mut span = tracer.start(root.id(), || format!("recovery:{}", op.name()), &site);
+            let mut span = scope::enter(|| format!("recovery:{}", op.name()));
             match op {
                 WalOp::Store { name, data } => {
-                    span.set_rows(data.num_rows());
+                    if let Some(span) = &mut span {
+                        span.rows(data.num_rows());
+                    }
                     inner.store(name, data.clone())?;
                 }
                 WalOp::Remove { name } => inner.remove(name),
@@ -259,7 +254,6 @@ impl DurableProvider {
                     inner.build_index(name, column, *kind)?;
                 }
             }
-            span.finish();
         }
 
         // 3. Open for appending.
@@ -290,14 +284,16 @@ impl DurableProvider {
                 "Bytes checksummed while telling a torn WAL tail from interior corruption.",
             )
             .add(replayed.scan_crc_bytes);
-        root.event(|| {
-            format!(
-                "snapshot seq {snapshot_seq} ({snapshot_datasets} datasets), \
-                 {wal_records_replayed} wal records, torn tail: {}",
-                replayed.torn_tail
-            )
-        });
-        root.finish();
+        if let Some(root) = &mut root {
+            root.event(|| {
+                format!(
+                    "snapshot seq {snapshot_seq} ({snapshot_datasets} datasets), \
+                     {wal_records_replayed} wal records, torn tail: {}",
+                    replayed.torn_tail
+                )
+            });
+        }
+        drop(root);
 
         let report = RecoveryReport {
             snapshot_seq,
@@ -700,6 +696,56 @@ mod tests {
         assert_eq!(p.report().snapshot_datasets, 5);
         assert_eq!(p.report().wal_records_replayed, 1, "only the tail replays");
         assert_eq!(p.report().datasets.len(), 6);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_records_spans_under_the_installed_scope() {
+        let dir = tmp();
+        {
+            let p = open(&dir);
+            p.store("a", ds(1)).unwrap();
+            p.store("b", ds(2)).unwrap();
+            p.snapshot_now().unwrap();
+            p.store("c", ds(3)).unwrap(); // the WAL tail
+            p.remove("b");
+        }
+        let tracer = bda_obs::Tracer::new(5);
+        let p = {
+            let _scope = scope::install(&tracer, "p", None);
+            open(&dir)
+        };
+        assert_eq!(p.report().wal_records_replayed, 2);
+        let trace = tracer.finish();
+        let roots: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "recovery")
+            .collect();
+        assert_eq!(roots.len(), 1, "{:#?}", trace.spans);
+        let root = roots[0];
+        assert_eq!(root.site, "p");
+        let labels: Vec<&str> = root.events.iter().map(|e| e.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["snapshot seq 2 (2 datasets), 2 wal records, torn tail: false"]
+        );
+        // Snapshot datasets first, then the WAL tail in sequence order;
+        // stores carry their row counts, a remove carries none.
+        let children: Vec<(&str, Option<u64>)> = trace
+            .children_of(root.id)
+            .iter()
+            .map(|s| (s.name.as_str(), s.rows))
+            .collect();
+        assert_eq!(
+            children,
+            [
+                ("recovery:a", Some(2)),
+                ("recovery:b", Some(2)),
+                ("recovery:c", Some(2)),
+                ("recovery:b", None),
+            ]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

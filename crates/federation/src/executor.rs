@@ -2,6 +2,12 @@
 //! intermediates either **directly between servers** (desideratum 4) or
 //! through the application tier (the baseline it is measured against).
 //!
+//! One scheduler runs every placement ([`execute_placement`]): it follows
+//! the dependency edges between fragments and, with `workers > 1`,
+//! dispatches independent ones onto a pool of threads. With one worker
+//! it spawns nothing and runs every fragment inline, in placement order,
+//! stopping at the first failure.
+//!
 //! Execution is fault tolerant (see DESIGN.md, "The failure model"):
 //! transient fragment failures retry with exponential backoff, permanent
 //! failures trigger **failover** onto another provider whose capability
@@ -17,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use bda_core::codec::encode_plan;
 use bda_core::convergence::report;
-use bda_core::{pool, CoreError, Plan};
+use bda_core::{pool, CoreError, Plan, Provider};
 use bda_obs::progress::ProgressHandle;
 use bda_obs::{flight, progress, scope, SpanGuard, Tracer};
 use bda_storage::wire::encode_dataset;
@@ -92,6 +98,12 @@ impl RecoveryPolicy {
             1
         }
     }
+
+    /// Whether a permanently failed fragment fails over to another
+    /// provider (and the app tier keeps outputs cached to re-ship).
+    fn fails_over(&self) -> bool {
+        self.enabled && self.failover
+    }
 }
 
 /// Execution options.
@@ -105,12 +117,12 @@ pub struct ExecOptions {
     pub net: NetConfig,
     /// Fault-tolerance policy.
     pub recovery: RecoveryPolicy,
-    /// Partition-parallel worker count. With `1` the executor runs its
-    /// fragments sequentially and plans carry no `Exchange`/`Merge`
-    /// markers; with `n > 1` independent fragments dispatch onto a pool
-    /// of `n` threads and capable providers run their hot operators over
-    /// `n` partitions. Defaults to the `BDA_WORKERS` environment
-    /// variable (falling back to 1).
+    /// Partition-parallel worker count. With `1` the executor runs every
+    /// fragment inline on the calling thread, in placement order, and
+    /// plans carry no `Exchange`/`Merge` markers; with `n > 1`
+    /// independent fragments dispatch onto up to `n` threads and capable
+    /// providers run their hot operators over `n` partitions. Defaults
+    /// to the `BDA_WORKERS` environment variable (falling back to 1).
     pub workers: usize,
     /// Consult the process-global [`bda_obs::profile::CostBook`] of
     /// measured costs during planning (site assignment and
@@ -143,27 +155,19 @@ impl Default for ExecOptions {
     }
 }
 
-/// Optimize, place and execute a plan across the registry's providers.
+/// Optimize, place and execute a plan across the registry's providers,
+/// recording spans into `tracer` (pass [`Tracer::disabled`] for the
+/// untraced path). `parent` is the span the query hangs under (`None`
+/// for a top-level query; app-driven iteration nests its inner queries
+/// under the iterating fragment's span).
 pub fn run_plan(
-    registry: &Registry,
-    plan: &Plan,
-    opts: &ExecOptions,
-) -> Result<(DataSet, Metrics)> {
-    run_plan_traced(registry, plan, opts, &Tracer::disabled(), None)
-}
-
-/// [`run_plan`], recording spans into `tracer`. `parent` is the span the
-/// query hangs under (`None` for a top-level query; app-driven iteration
-/// nests its inner queries under the iterating fragment's span).
-pub fn run_plan_traced(
     registry: &Registry,
     plan: &Plan,
     opts: &ExecOptions,
     tracer: &Tracer,
     parent: Option<u64>,
 ) -> Result<(DataSet, Metrics)> {
-    let (optimized, fragments_pruned) =
-        optimize_with_stats(plan, opts.optimizer, &|name| registry.table_stats(name));
+    let (_, fragments_pruned, placement) = place(registry, plan, opts)?;
     if fragments_pruned > 0 {
         // A dedicated span (rather than an event on `parent`, which is
         // `None` for top-level queries) so `EXPLAIN ANALYZE`'s pruning
@@ -172,6 +176,20 @@ pub fn run_plan_traced(
         s.event(|| format!("pruning: {fragments_pruned} fragment(s) eliminated by table stats"));
         s.finish();
     }
+    execute_placement(registry, &placement, opts, tracer, parent)
+}
+
+/// Optimize and place `plan` under `opts`: the optimized plan, the number
+/// of fragments table statistics eliminated, and the placement. Both
+/// [`run_plan`] and `Federation::explain` place through here, so EXPLAIN
+/// shows exactly the placement a run executes.
+pub(crate) fn place(
+    registry: &Registry,
+    plan: &Plan,
+    opts: &ExecOptions,
+) -> Result<(Plan, usize, Placement)> {
+    let (optimized, fragments_pruned) =
+        optimize_with_stats(plan, opts.optimizer, &|name| registry.table_stats(name));
     let costs = opts
         .calibrate
         .then(|| bda_obs::profile::global_costs().clone());
@@ -180,19 +198,11 @@ pub fn run_plan_traced(
         .with_costs(costs)
         .with_stats(opts.optimizer.use_stats)
         .place(&optimized)?;
-    execute_placement_traced(registry, &placement, opts, tracer, parent)
+    Ok((optimized, fragments_pruned, placement))
 }
 
-/// Execute an already-fragmented plan.
-pub fn execute_placement(
-    registry: &Registry,
-    placement: &Placement,
-    opts: &ExecOptions,
-) -> Result<(DataSet, Metrics)> {
-    execute_placement_traced(registry, placement, opts, &Tracer::disabled(), None)
-}
-
-/// [`execute_placement`], recording spans into `tracer`.
+/// Execute an already-fragmented plan, recording spans into `tracer`
+/// under `parent`.
 ///
 /// Span model (see DESIGN.md, "Observability"): one `query` span per
 /// placement; under it one `fragment:{id}` span per fragment (site =
@@ -204,7 +214,7 @@ pub fn execute_placement(
 /// Provider-side spans (per-operator timings, server handling) land
 /// under the owning fragment span through the [`scope`] installed around
 /// each provider call.
-pub fn execute_placement_traced(
+pub fn execute_placement(
     registry: &Registry,
     placement: &Placement,
     opts: &ExecOptions,
@@ -216,136 +226,26 @@ pub fn execute_placement_traced(
             "empty placement: no fragments to execute".into(),
         ));
     }
-    let mut metrics = Metrics::default();
-    // (site, name) cleanup list. Fragment outputs the app tier has custody
-    // of live in `cache`, keyed by fragment id; failover re-ships a failed
-    // fragment's inputs from there. Both are shared with the worker pool
-    // when fragments dispatch in parallel.
-    let staged: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-    let cache: Mutex<HashMap<usize, DataSet>> = Mutex::new(HashMap::new());
     let query_span = tracer.start(parent, || "query".into(), "app");
-    let query_id = query_span.id();
     // Only the outermost placement on this thread registers on the
     // progress board; app-driven iteration re-enters the executor per
     // round and those inner queries ride the outer query's entry.
     let progress = enter_query(placement, tracer);
-
-    let outcome = if opts.workers <= 1 {
-        (|| -> Result<DataSet> {
-            let last = placement.fragments.len() - 1;
-            progress.set_fragments_total(placement.fragments.len());
-            for (pos, frag) in placement.fragments.iter().enumerate() {
-                metrics.fragments += 1;
-                let frag_started = Instant::now();
-                let mut fspan =
-                    tracer.start(query_id, || format!("fragment:{}", frag.id), &frag.site);
-                // The transfer log accumulates the attempt history of this
-                // fragment's output delivery (push and/or store attempts)
-                // into one `transfer:{id}` span. Root fragments stage
-                // nothing, so they get an inert log.
-                let mut tlog = if pos == last {
-                    TransferLog::inert()
-                } else {
-                    TransferLog::start(tracer, fspan.id(), frag)
-                };
-                if frag.site != APP_SITE
-                    && pos != last
-                    && opts.transfer == TransferMode::RemoteTcp
-                    && try_remote_push(
-                        registry,
-                        frag,
-                        opts,
-                        &mut metrics,
-                        &staged,
-                        tracer,
-                        &mut tlog,
-                    )?
-                {
-                    progress.fragment_done(
-                        frag.id,
-                        &frag.site,
-                        frag_started.elapsed().as_secs_f64(),
-                    );
-                    continue;
-                }
-
-                let out = if frag.site == APP_SITE {
-                    // App-driven control iteration (see planner docs).
-                    run_app_iterate(
-                        registry,
-                        &frag.plan,
-                        opts,
-                        &mut metrics,
-                        tracer,
-                        fspan.id(),
-                        &progress,
-                    )?
-                } else {
-                    execute_fragment(
-                        registry,
-                        placement,
-                        frag,
-                        opts,
-                        &mut metrics,
-                        &cache,
-                        &staged,
-                        tracer,
-                        fspan.id(),
-                    )?
-                };
-                fspan.set_rows(out.num_rows());
-                progress.fragment_done(frag.id, &frag.site, frag_started.elapsed().as_secs_f64());
-
-                if pos == last {
-                    // Root fragment: result returns to the application.
-                    let bytes = encode_dataset(&out).len();
-                    metrics.record_transfer(&opts.net, &frag.site, "app", bytes, false);
-                    let mut rspan = tracer.start(query_id, || "transfer:result".into(), &frag.site);
-                    rspan.set_bytes(bytes as u64);
-                    rspan.set_rows(out.num_rows());
-                    rspan.finish();
-                    return Ok(out);
-                }
-                if opts.recovery.enabled && opts.recovery.failover {
-                    cache.lock().unwrap().insert(frag.id, out.clone());
-                }
-                if let Err(e) = stage_output(
-                    registry,
-                    frag,
-                    out,
-                    opts,
-                    &mut metrics,
-                    &staged,
-                    tracer,
-                    &mut tlog,
-                ) {
-                    if !(opts.recovery.enabled && opts.recovery.failover) {
-                        return Err(e);
-                    }
-                    // The consuming site refused the staged input. Leave
-                    // delivery to the consumer's failover path, which re-ships
-                    // inputs from the app-tier cache onto whichever provider
-                    // ends up running the fragment.
-                }
-            }
-            unreachable!("placement always has a root fragment")
-        })()
-    } else {
-        run_fragments_parallel(
-            registry,
-            placement,
-            opts,
-            &mut metrics,
-            &cache,
-            &staged,
-            tracer,
-            query_id,
-            &progress,
-        )
+    let run = Run {
+        registry,
+        placement,
+        opts,
+        tracer,
+        query_id: query_span.id(),
+        progress: &progress,
+        staged: Mutex::default(),
+        cache: Mutex::default(),
     };
+    let mut metrics = Metrics::default();
+    let outcome = run.run_fragments(&mut metrics);
 
     // Clean up staged intermediates regardless of success.
-    for (site, name) in staged.into_inner().unwrap() {
+    for (site, name) in run.staged.into_inner().expect(STAGED_POISONED) {
         if let Ok(p) = registry.provider(&site) {
             p.remove(&name);
         }
@@ -353,274 +253,611 @@ pub fn execute_placement_traced(
     leave_query(progress, tracer, outcome).map(|ds| (ds, metrics))
 }
 
-/// Dispatch a placement's fragments onto a pool of `opts.workers` threads,
-/// honouring the dependency edges recorded in [`Fragment::inputs`]. Root
-/// and app-site fragments run inline on the coordinator thread — the root
-/// so its result transfer stays last, app-driven iteration because it
-/// re-enters the executor and must keep riding this thread's progress
-/// entry. Every fragment body (including inline ones) runs under
-/// [`pool::with_workers`], so capable providers execute their
-/// `Exchange`/`Merge`-marked operators partition-parallel too.
-///
-/// Per-fragment [`Metrics`] accumulate into thread-local instances and are
-/// absorbed in **placement order** once every fragment settles, so counters
-/// and the transfer log are identical run-to-run regardless of completion
-/// order. On failure, dispatch stops, in-flight fragments drain, and the
-/// error of the earliest-placed failed fragment surfaces — mirroring what
-/// the sequential loop would have reported.
-#[allow(clippy::too_many_arguments)]
-fn run_fragments_parallel(
-    registry: &Registry,
-    placement: &Placement,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    cache: &Mutex<HashMap<usize, DataSet>>,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
+/// One placement in flight: what every fragment of it shares, on the
+/// coordinator thread and on pool workers alike.
+struct Run<'a> {
+    registry: &'a Registry,
+    placement: &'a Placement,
+    opts: &'a ExecOptions,
+    tracer: &'a Tracer,
+    /// The `query` span fragment spans hang under.
     query_id: Option<u64>,
-    progress: &ProgressHandle,
-) -> Result<DataSet> {
-    let frags = &placement.fragments;
-    let n = frags.len();
-    let last = n - 1;
-    progress.set_fragments_total(n);
-    // Fragment ids are planner counters, not positions; map them back.
-    let pos_of: HashMap<usize, usize> = frags.iter().enumerate().map(|(p, f)| (f.id, p)).collect();
-    let deps: Vec<Vec<usize>> = frags
-        .iter()
-        .map(|f| {
-            f.inputs
-                .iter()
-                .filter_map(|id| pos_of.get(id).copied())
-                .collect()
-        })
-        .collect();
+    /// Only touched on the coordinator thread, where app-driven
+    /// iteration reports its rounds.
+    progress: &'a ProgressHandle,
+    /// (site, name) cleanup list of every staged intermediate.
+    staged: Mutex<Vec<(String, String)>>,
+    /// Fragment outputs the app tier has custody of, keyed by fragment
+    /// id; failover re-ships a failed fragment's inputs from here.
+    cache: Mutex<HashMap<usize, DataSet>>,
+}
 
-    let mut done = vec![false; n];
-    let mut dispatched = vec![false; n];
-    let mut slots: Vec<Option<Metrics>> = (0..n).map(|_| None).collect();
-    let mut failures: Vec<(usize, CoreError)> = Vec::new();
-    let mut root_out: Option<DataSet> = None;
-    let mut in_flight = 0usize;
+const STAGED_POISONED: &str = "a fragment panicked while recording a staged intermediate";
+const CACHE_POISONED: &str = "a fragment panicked while holding the failover cache";
 
-    let threads = opts.workers.min(n.saturating_sub(1)).max(1);
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<usize>();
-    let job_rx = Mutex::new(job_rx);
-    type Completion = (usize, f64, Metrics, Result<Option<DataSet>>);
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<Completion>();
+/// A settled fragment: placement position, wall seconds, its metrics,
+/// and its outcome (`Some(result)` only for the root fragment).
+type Completion = (usize, f64, Metrics, Result<Option<DataSet>>);
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let job_rx = &job_rx;
-            let res_tx = res_tx.clone();
-            scope.spawn(move || loop {
-                // The mutex only serializes job pickup; execution runs
-                // unlocked and therefore concurrently across workers.
-                let job = job_rx.lock().unwrap().recv();
-                let Ok(pos) = job else { break };
-                let started = Instant::now();
-                let (m, result) = pool::with_workers(opts.workers, || {
-                    parallel_fragment_body(
-                        registry, placement, pos, opts, cache, staged, tracer, query_id, None,
-                    )
+impl Run<'_> {
+    /// The one fragment scheduler, for every worker count. It honours the
+    /// dependency edges recorded in [`Fragment::inputs`] and launches a
+    /// fragment once all its inputs are done.
+    ///
+    /// Root and app-site fragments run inline on the coordinator thread —
+    /// the root so its result transfer stays last, app-driven iteration
+    /// because it re-enters the executor and must keep riding this
+    /// thread's progress entry. Other fragments go to a pool of
+    /// `min(workers, pool fragments)` threads; with `workers <= 1` there
+    /// is no pool and every fragment runs inline, in placement order.
+    /// Every fragment body runs under [`pool::with_workers`], so capable
+    /// providers execute their `Exchange`/`Merge`-marked operators
+    /// partition-parallel too.
+    ///
+    /// Per-fragment [`Metrics`] accumulate into separate instances and are
+    /// absorbed in **placement order** once every fragment settles, so
+    /// counters and the transfer log are identical run-to-run regardless
+    /// of completion order. A fragment counts as done on `/progress` only
+    /// when it succeeds. On failure, dispatch stops, in-flight fragments
+    /// drain, and the error of the earliest-placed failed fragment
+    /// surfaces.
+    fn run_fragments(&self, metrics: &mut Metrics) -> Result<DataSet> {
+        let frags = &self.placement.fragments;
+        let n = frags.len();
+        let last = n - 1;
+        self.progress.set_fragments_total(n);
+        // Fragment ids are planner counters, not positions; map them back.
+        let pos_of: HashMap<usize, usize> =
+            frags.iter().enumerate().map(|(p, f)| (f.id, p)).collect();
+        let deps: Vec<Vec<usize>> = frags
+            .iter()
+            .map(|f| {
+                f.inputs
+                    .iter()
+                    .filter_map(|id| pos_of.get(id).copied())
+                    .collect()
+            })
+            .collect();
+        let pinned = |pos: usize| pos == last || frags[pos].site == APP_SITE;
+        let threads = if self.opts.workers <= 1 {
+            0
+        } else {
+            self.opts
+                .workers
+                .min((0..n).filter(|&p| !pinned(p)).count())
+        };
+        let run_one = |pos: usize| -> Completion {
+            let started = Instant::now();
+            let mut m = Metrics {
+                fragments: 1,
+                ..Metrics::default()
+            };
+            let result = pool::with_workers(self.opts.workers, || self.fragment_body(pos, &mut m));
+            (pos, started.elapsed().as_secs_f64(), m, result)
+        };
+
+        let mut done = vec![false; n];
+        let mut dispatched = vec![false; n];
+        let mut slots: Vec<Option<Metrics>> = (0..n).map(|_| None).collect();
+        let mut failures: Vec<(usize, CoreError)> = Vec::new();
+        let mut root_out: Option<DataSet> = None;
+        let mut in_flight = 0usize;
+
+        let (job_tx, job_rx) = crossbeam::channel::unbounded::<usize>();
+        let job_rx = Mutex::new(job_rx);
+        let (res_tx, res_rx) = crossbeam::channel::unbounded::<Completion>();
+
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let (job_rx, res_tx, run_one) = (&job_rx, res_tx.clone(), &run_one);
+                scope.spawn(move || loop {
+                    // The mutex only serializes job pickup; execution runs
+                    // unlocked and therefore concurrently across workers.
+                    let job = job_rx.lock().expect("job queue lock poisoned").recv();
+                    let Ok(pos) = job else { break };
+                    if res_tx.send(run_one(pos)).is_err() {
+                        break;
+                    }
                 });
-                if res_tx
-                    .send((pos, started.elapsed().as_secs_f64(), m, result))
-                    .is_err()
-                {
-                    break;
-                }
-            });
-        }
-        drop(res_tx);
+            }
+            drop(res_tx);
 
-        loop {
-            if failures.is_empty() {
-                // Launch everything ready, rescanning after each inline
-                // completion (an inline fragment may unblock others).
-                loop {
-                    let mut inline_ran = false;
+            loop {
+                // Hand every ready pool fragment to the workers, up to the
+                // first ready inline fragment, which runs right here.
+                let mut inline = None;
+                if failures.is_empty() {
                     for pos in 0..n {
                         if dispatched[pos] || !deps[pos].iter().all(|d| done[*d]) {
                             continue;
                         }
                         dispatched[pos] = true;
-                        if pos == last || frags[pos].site == APP_SITE {
-                            let started = Instant::now();
-                            let (m, result) = pool::with_workers(opts.workers, || {
-                                parallel_fragment_body(
-                                    registry,
-                                    placement,
-                                    pos,
-                                    opts,
-                                    cache,
-                                    staged,
-                                    tracer,
-                                    query_id,
-                                    Some(progress),
-                                )
-                            });
-                            progress.fragment_done(
-                                frags[pos].id,
-                                &frags[pos].site,
-                                started.elapsed().as_secs_f64(),
-                            );
-                            slots[pos] = Some(m);
-                            match result {
-                                Ok(out) => {
-                                    done[pos] = true;
-                                    if pos == last {
-                                        root_out = out;
-                                    }
-                                }
-                                Err(e) => failures.push((pos, e)),
-                            }
-                            inline_ran = true;
-                        } else {
-                            in_flight += 1;
-                            let _ = job_tx.send(pos);
+                        if threads == 0 || pinned(pos) {
+                            inline = Some(pos);
+                            break;
                         }
-                    }
-                    if !inline_ran || !failures.is_empty() {
-                        break;
+                        in_flight += 1;
+                        let _ = job_tx.send(pos);
                     }
                 }
+                let (pos, secs, m, result) = match inline {
+                    Some(pos) => run_one(pos),
+                    None if in_flight > 0 => match res_rx.recv() {
+                        Ok(completion) => {
+                            in_flight -= 1;
+                            completion
+                        }
+                        Err(_) => break,
+                    },
+                    None => break,
+                };
+                slots[pos] = Some(m);
+                match result {
+                    Ok(out) => {
+                        done[pos] = true;
+                        self.progress
+                            .fragment_done(frags[pos].id, &frags[pos].site, secs);
+                        if pos == last {
+                            root_out = out;
+                        }
+                    }
+                    Err(e) => failures.push((pos, e)),
+                }
             }
-            if in_flight == 0 {
-                break;
-            }
-            let Ok((pos, secs, m, result)) = res_rx.recv() else {
-                break;
-            };
-            in_flight -= 1;
-            progress.fragment_done(frags[pos].id, &frags[pos].site, secs);
-            slots[pos] = Some(m);
-            match result {
-                Ok(_) => done[pos] = true,
-                Err(e) => failures.push((pos, e)),
-            }
+            drop(job_tx); // closes the job channel; workers exit their loops
+        });
+
+        for m in slots.into_iter().flatten() {
+            metrics.absorb(m);
         }
-        drop(job_tx); // closes the job channel; workers exit their loops
-    });
-
-    for m in slots.into_iter().flatten() {
-        metrics.absorb(m);
+        if let Some((_, e)) = failures.into_iter().min_by_key(|(p, _)| *p) {
+            return Err(e);
+        }
+        root_out.ok_or_else(|| CoreError::Plan("scheduler finished without a root result".into()))
     }
-    if let Some((_, e)) = failures.into_iter().min_by_key(|(p, _)| *p) {
-        return Err(e);
-    }
-    root_out
-        .ok_or_else(|| CoreError::Plan("parallel scheduler finished without a root result".into()))
-}
 
-/// The per-fragment body of the parallel scheduler: the exact sequence the
-/// sequential loop runs for one fragment (fragment span, transfer log,
-/// RemoteTcp push short-circuit, execute/iterate, failover cache, output
-/// staging), against a thread-local [`Metrics`]. Returns `Some(result)`
-/// only for the root fragment. `progress` is `Some` only on the
-/// coordinator thread, where app-driven iteration reports its rounds.
-#[allow(clippy::too_many_arguments)]
-fn parallel_fragment_body(
-    registry: &Registry,
-    placement: &Placement,
-    pos: usize,
-    opts: &ExecOptions,
-    cache: &Mutex<HashMap<usize, DataSet>>,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
-    query_id: Option<u64>,
-    progress: Option<&ProgressHandle>,
-) -> (Metrics, Result<Option<DataSet>>) {
-    let frags = &placement.fragments;
-    let last = frags.len() - 1;
-    let frag = &frags[pos];
-    let mut metrics = Metrics::default();
-    metrics.fragments += 1;
-    let result = (|| -> Result<Option<DataSet>> {
-        let mut fspan = tracer.start(query_id, || format!("fragment:{}", frag.id), &frag.site);
-        let mut tlog = if pos == last {
+    /// One fragment, start to finish, against its own [`Metrics`]:
+    /// fragment span, transfer log, RemoteTcp push short-circuit,
+    /// execute/iterate, failover cache, output staging. Returns
+    /// `Some(result)` only for the root fragment.
+    fn fragment_body(&self, pos: usize, metrics: &mut Metrics) -> Result<Option<DataSet>> {
+        let frag = &self.placement.fragments[pos];
+        let root = pos == self.placement.fragments.len() - 1;
+        let mut fspan = self.tracer.start(
+            self.query_id,
+            || format!("fragment:{}", frag.id),
+            &frag.site,
+        );
+        // The transfer log accumulates the attempt history of this
+        // fragment's output delivery (push and/or store attempts) into
+        // one `transfer:{id}` span. Root fragments stage nothing, so they
+        // get an inert log.
+        let mut tlog = if root {
             TransferLog::inert()
         } else {
-            TransferLog::start(tracer, fspan.id(), frag)
+            TransferLog::start(self.tracer, fspan.id(), frag)
         };
         if frag.site != APP_SITE
-            && pos != last
-            && opts.transfer == TransferMode::RemoteTcp
-            && try_remote_push(
-                registry,
-                frag,
-                opts,
-                &mut metrics,
-                staged,
-                tracer,
-                &mut tlog,
-            )?
+            && !root
+            && self.opts.transfer == TransferMode::RemoteTcp
+            && self.try_remote_push(frag, metrics, &mut tlog)?
         {
             return Ok(None);
         }
         let out = if frag.site == APP_SITE {
-            let inert;
-            let handle = match progress {
-                Some(p) => p,
-                None => {
-                    inert = progress::ProgressTracker::noop();
-                    &inert
-                }
-            };
-            run_app_iterate(
-                registry,
-                &frag.plan,
-                opts,
-                &mut metrics,
-                tracer,
-                fspan.id(),
-                handle,
-            )?
+            // App-driven control iteration (see planner docs).
+            self.run_app_iterate(&frag.plan, metrics, fspan.id())?
         } else {
-            execute_fragment(
-                registry,
-                placement,
-                frag,
-                opts,
-                &mut metrics,
-                cache,
-                staged,
-                tracer,
-                fspan.id(),
-            )?
+            self.execute_fragment(frag, metrics, fspan.id())?
         };
         fspan.set_rows(out.num_rows());
-        if pos == last {
+        if root {
+            // Root fragment: result returns to the application.
             let bytes = encode_dataset(&out).len();
-            metrics.record_transfer(&opts.net, &frag.site, "app", bytes, false);
-            let mut rspan = tracer.start(query_id, || "transfer:result".into(), &frag.site);
+            metrics.record_transfer(&self.opts.net, &frag.site, "app", bytes, false);
+            let mut rspan =
+                self.tracer
+                    .start(self.query_id, || "transfer:result".into(), &frag.site);
             rspan.set_bytes(bytes as u64);
             rspan.set_rows(out.num_rows());
             rspan.finish();
             return Ok(Some(out));
         }
-        if opts.recovery.enabled && opts.recovery.failover {
-            cache.lock().unwrap().insert(frag.id, out.clone());
+        if self.opts.recovery.fails_over() {
+            self.cache
+                .lock()
+                .expect(CACHE_POISONED)
+                .insert(frag.id, out.clone());
         }
-        if let Err(e) = stage_output(
-            registry,
-            frag,
-            out,
-            opts,
-            &mut metrics,
-            staged,
-            tracer,
-            &mut tlog,
-        ) {
-            if !(opts.recovery.enabled && opts.recovery.failover) {
+        if let Err(e) = self.stage_output(frag, out, metrics, &mut tlog) {
+            if !self.opts.recovery.fails_over() {
                 return Err(e);
             }
-            // Leave delivery to the consumer's failover path (see the
-            // sequential loop).
+            // The consuming site refused the staged input. Leave delivery
+            // to the consumer's failover path, which re-ships inputs from
+            // the app-tier cache onto whichever provider ends up running
+            // the fragment.
         }
         Ok(None)
-    })();
-    (metrics, result)
+    }
+
+    /// Attempt the real server→server push of a non-root fragment's
+    /// output (RemoteTcp mode). Returns `Ok(true)` when the output was
+    /// delivered, `Ok(false)` to fall back to the store-based path —
+    /// either because the providers have no transport, or because the
+    /// push failed and the executor degrades the transfer (counted in
+    /// `degraded_transfers`).
+    fn try_remote_push(
+        &self,
+        frag: &Fragment,
+        metrics: &mut Metrics,
+        tlog: &mut TransferLog,
+    ) -> Result<bool> {
+        let provider = self.registry.provider(&frag.site)?;
+        let dest = self.registry.provider(&frag.dest_site)?;
+        let Some(dest_ep) = dest.endpoint() else {
+            return Ok(false);
+        };
+        let net = &self.opts.net;
+        let name = format!("{FRAG_PREFIX}{}", frag.id);
+        let plan_bytes = encode_plan(&frag.plan);
+        let attempts = self.opts.recovery.attempts();
+        let mut backoff = self.opts.recovery.backoff;
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                metrics.retries += 1;
+                sleep_backoff(&mut backoff);
+            }
+            tlog.event(|| "attempt:push".into());
+            metrics.record_plan_shipment(net, plan_bytes.len());
+            let before = wire_total(provider.as_ref());
+            let pushed = {
+                let _scope = scope::install(self.tracer, provider.name(), tlog.span_id());
+                provider.execute_push(&frag.plan, &dest_ep, &name)
+            };
+            match pushed {
+                None => {
+                    // Provider has no transport: un-count the shipment we
+                    // charged optimistically and fall back to store-based.
+                    metrics.messages -= 1;
+                    metrics.plan_bytes -= plan_bytes.len();
+                    metrics.sim_network_s -= net.message_time(plan_bytes.len());
+                    return Ok(false);
+                }
+                Some(Ok(pushed)) => {
+                    // Client-side traffic (request + ack) plus the
+                    // server-to-server payload are all real bytes.
+                    metrics.real_wire_bytes += pushed + (wire_total(provider.as_ref()) - before);
+                    metrics.record_transfer(
+                        net,
+                        &frag.site,
+                        &frag.dest_site,
+                        pushed as usize,
+                        false,
+                    );
+                    self.registry.health().record_success(&frag.site);
+                    self.staged
+                        .lock()
+                        .expect(STAGED_POISONED)
+                        .push((frag.dest_site.clone(), name));
+                    tlog.delivered("push", pushed as usize);
+                    return Ok(true);
+                }
+                Some(Err(e)) => {
+                    metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;
+                    tlog.event(|| format!("error:{e}"));
+                    flight::global().record(&frag.site, || {
+                        format!("push fragment:{}@{} failed: {e}", frag.id, frag.site)
+                    });
+                    self.record_failure(&frag.site, metrics, |label| tlog.event(|| label));
+                    if self.opts.recovery.enabled && e.is_transient() && attempt + 1 < attempts {
+                        continue;
+                    }
+                    if !self.opts.recovery.enabled {
+                        return Err(e);
+                    }
+                    // Push is unrecoverable here: degrade to the
+                    // store-based Direct path (the fragment re-runs).
+                    metrics.degraded_transfers += 1;
+                    tlog.event(|| "degrade:direct".into());
+                    return Ok(false);
+                }
+            }
+        }
+        unreachable!("push loop returns from its last attempt")
+    }
+
+    /// Run one non-app fragment with retry and, when that fails for good,
+    /// failover onto another capable provider.
+    fn execute_fragment(
+        &self,
+        frag: &Fragment,
+        metrics: &mut Metrics,
+        span: Option<u64>,
+    ) -> Result<DataSet> {
+        let primary = match self.execute_at(&frag.site, &frag.plan, metrics, span) {
+            Ok(out) => return Ok(out),
+            Err(e) => e,
+        };
+        if !self.opts.recovery.fails_over() {
+            return Err(primary);
+        }
+        self.tracer
+            .event(span, || format!("failed:{}:{primary}", frag.site));
+        flight::global().record(&frag.site, || {
+            format!(
+                "fragment:{}@{} failed permanently: {primary}",
+                frag.id, frag.site
+            )
+        });
+        for candidate in failover_candidates(self.registry, frag) {
+            if self.reship_inputs(frag, &candidate, metrics, span).is_err() {
+                continue;
+            }
+            if let Ok(out) = self.execute_at(&candidate, &frag.plan, metrics, span) {
+                metrics.failovers += 1;
+                self.tracer.event(span, || format!("failover:{candidate}"));
+                flight::global().record(&candidate, || {
+                    format!("failover: fragment:{} {}→{candidate}", frag.id, frag.site)
+                });
+                return Ok(out);
+            }
+        }
+        // No candidate could take over: surface the original failure.
+        Err(primary)
+    }
+
+    /// Ship `plan` to the provider at `site` and execute it under
+    /// [`Run::with_retry`]. The plan ships once per attempt — retries are
+    /// not free — and the provider's internal spans (per-operator
+    /// timings, server-side handling) land under `span` through the
+    /// thread-local scope.
+    fn execute_at(
+        &self,
+        site: &str,
+        plan: &Plan,
+        metrics: &mut Metrics,
+        span: Option<u64>,
+    ) -> Result<DataSet> {
+        let plan_bytes = encode_plan(plan).len();
+        self.with_retry(
+            site,
+            "execute",
+            "execute",
+            span,
+            metrics,
+            |provider, metrics| {
+                metrics.record_plan_shipment(&self.opts.net, plan_bytes);
+                let _scope = scope::install(self.tracer, provider.name(), span);
+                provider.execute(plan)
+            },
+        )
+    }
+
+    /// Call `op` on the provider at `site`, retrying transient failures
+    /// with exponential backoff per the recovery policy. Each attempt's
+    /// real wire traffic is charged to `metrics` and its outcome reported
+    /// to the registry's health board. `kind` names the call in retry
+    /// events (`retry:{kind}@{site} attempt N`, under `span`), `what` in
+    /// the flight recorder's `{what}@{site} attempt N failed: …` lines.
+    fn with_retry<T>(
+        &self,
+        site: &str,
+        kind: &str,
+        what: &str,
+        span: Option<u64>,
+        metrics: &mut Metrics,
+        mut op: impl FnMut(&dyn Provider, &mut Metrics) -> Result<T>,
+    ) -> Result<T> {
+        let provider = self.registry.provider(site)?;
+        let attempts = self.opts.recovery.attempts();
+        let mut backoff = self.opts.recovery.backoff;
+        for attempt in 1..=attempts {
+            if attempt > 1 {
+                metrics.retries += 1;
+                self.tracer
+                    .event(span, || format!("retry:{kind}@{site} attempt {attempt}"));
+                sleep_backoff(&mut backoff);
+            }
+            let before = wire_total(provider.as_ref());
+            let result = op(provider.as_ref(), metrics);
+            metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;
+            match result {
+                Ok(out) => {
+                    self.registry.health().record_success(site);
+                    return Ok(out);
+                }
+                Err(e) => {
+                    flight::global().record(site, || {
+                        format!("{what}@{site} attempt {attempt} failed: {e}")
+                    });
+                    self.record_failure(site, metrics, |label| self.tracer.event(span, || label));
+                    if !e.is_transient() || attempt == attempts {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        unreachable!("the retry loop returns from its last attempt")
+    }
+
+    /// Report a failed call to `site`'s circuit breaker. A failure that
+    /// trips the breaker is counted, handed to `trace` as its
+    /// `breaker:trip:{site}` event label, and recorded in the flight
+    /// recorder.
+    fn record_failure(&self, site: &str, metrics: &mut Metrics, trace: impl FnOnce(String)) {
+        if self.registry.health().record_failure(site) {
+            metrics.breaker_trips += 1;
+            trace(format!("breaker:trip:{site}"));
+            flight::global().record(site, || format!("breaker trip: {site}"));
+        }
+    }
+
+    /// Re-ship a failed-over fragment's staged inputs to its new site.
+    /// Inputs the app tier never saw (RemoteTcp pushes) are recovered by
+    /// re-running their producer fragments.
+    fn reship_inputs(
+        &self,
+        frag: &Fragment,
+        new_site: &str,
+        metrics: &mut Metrics,
+        span: Option<u64>,
+    ) -> Result<()> {
+        let dest = self.registry.provider(new_site)?;
+        for &input in &frag.inputs {
+            // Never hold the cache lock across a provider call: on a miss
+            // the producer re-runs (possibly slowly) and other fragments
+            // must keep making progress.
+            let cached = self
+                .cache
+                .lock()
+                .expect(CACHE_POISONED)
+                .get(&input)
+                .cloned();
+            let data = match cached {
+                Some(d) => d,
+                None => {
+                    let producer = self
+                        .placement
+                        .fragments
+                        .iter()
+                        .find(|f| f.id == input)
+                        .ok_or_else(|| {
+                            CoreError::Plan(format!("unknown fragment input {input}"))
+                        })?;
+                    let out = self.execute_at(&producer.site, &producer.plan, metrics, span)?;
+                    self.cache
+                        .lock()
+                        .expect(CACHE_POISONED)
+                        .insert(input, out.clone());
+                    out
+                }
+            };
+            let name = format!("{FRAG_PREFIX}{input}");
+            let bytes = encode_dataset(&data).len();
+            // The recovery hop goes through the app tier by construction.
+            metrics.record_transfer(&self.opts.net, "app", new_site, bytes, true);
+            let mut rspan = self.tracer.start(span, || format!("reship:{input}"), "app");
+            rspan.set_bytes(bytes as u64);
+            let before = wire_total(dest.as_ref());
+            dest.store(&name, data)?;
+            metrics.real_wire_bytes += wire_total(dest.as_ref()) - before;
+            rspan.finish();
+            self.staged
+                .lock()
+                .expect(STAGED_POISONED)
+                .push((new_site.to_string(), name));
+        }
+        Ok(())
+    }
+
+    /// Stage a fragment's output at the consuming site, retrying
+    /// transient store failures; a Direct transfer that keeps failing
+    /// degrades to the app-routed path (counted in `degraded_transfers`)
+    /// before giving up.
+    fn stage_output(
+        &self,
+        frag: &Fragment,
+        out: DataSet,
+        metrics: &mut Metrics,
+        tlog: &mut TransferLog,
+    ) -> Result<()> {
+        let name = format!("{FRAG_PREFIX}{}", frag.id);
+        let bytes = encode_dataset(&out).len();
+        let site = &frag.dest_site;
+        let what = format!("store {name}");
+        let store = |provider: &dyn Provider, _: &mut Metrics| provider.store(&name, out.clone());
+        let via_app = self.opts.transfer == TransferMode::AppRouted;
+        let rung = if via_app { "app-routed" } else { "direct" };
+        tlog.event(|| format!("attempt:{rung}"));
+        let mut routed = via_app;
+        if let Err(e) = self.with_retry(site, "store", &what, tlog.span_id(), metrics, &store) {
+            if via_app || !self.opts.recovery.enabled {
+                return Err(e);
+            }
+            // Degrade Direct → AppRouted: the app tier takes custody of
+            // the intermediate and re-delivers it on the two-hop path.
+            metrics.degraded_transfers += 1;
+            tlog.event(|| format!("error:{e}"));
+            tlog.event(|| "degrade:app-routed".into());
+            tlog.event(|| "attempt:app-routed".into());
+            self.with_retry(site, "store", &what, tlog.span_id(), metrics, &store)
+                .map_err(|_| e)?;
+            routed = true;
+        }
+        metrics.record_transfer(&self.opts.net, &frag.site, site, bytes, routed);
+        self.staged
+            .lock()
+            .expect(STAGED_POISONED)
+            .push((site.clone(), name));
+        tlog.delivered(if routed { "app-routed" } else { "direct" }, bytes);
+        Ok(())
+    }
+
+    /// Client/app-driven iteration: the fallback when no provider can
+    /// host an `Iterate` node. Each iteration re-enters the federation
+    /// with the loop state inlined as a `Values` literal — so the state
+    /// crosses the wire (inside the shipped plan) every round, which is
+    /// precisely the cost the paper's "control iteration" extension
+    /// avoids.
+    fn run_app_iterate(
+        &self,
+        plan: &Plan,
+        metrics: &mut Metrics,
+        span: Option<u64>,
+    ) -> Result<DataSet> {
+        let Plan::Iterate {
+            init,
+            body,
+            max_iters,
+            epsilon,
+        } = plan
+        else {
+            return Err(CoreError::Plan(format!(
+                "app-site fragment must be an iterate, got {}",
+                plan.op_kind().name()
+            )));
+        };
+        let (registry, opts, tracer) = (self.registry, self.opts, self.tracer);
+        let (mut cur, m) = run_plan(registry, init, opts, tracer, span)?;
+        metrics.absorb(m);
+        for round in 0..*max_iters {
+            tracer.event(span, || format!("iteration:{}", round + 1));
+            // One span per iteration: the round's fragments nest under it
+            // and its events carry the convergence numbers the
+            // `/progress` endpoint and `EXPLAIN ANALYZE`'s convergence
+            // table render.
+            let mut ispan = tracer.start(span, || format!("iteration:{}", round + 1), APP_SITE);
+            let state_rows: Vec<Row> = cur.rows()?;
+            let body_inlined = substitute_state(body, &cur, &state_rows);
+            let (next, m) = run_plan(registry, &body_inlined, opts, tracer, ispan.id())?;
+            metrics.absorb(m);
+            metrics.client_driven_iterations += 1;
+            let rep = report(&cur, &next, *epsilon)?;
+            ispan.set_rows(next.num_rows());
+            ispan.event(|| match rep.delta {
+                Some(d) => format!("delta:{d:.9}"),
+                None => "delta:undefined".into(),
+            });
+            ispan.event(|| format!("rows_changed:{}", rep.rows_changed));
+            ispan.finish();
+            self.progress
+                .iteration(round + 1, *max_iters, rep.delta, Some(rep.rows_changed));
+            flight::global().record(APP_SITE, || {
+                format!(
+                    "iteration:{} delta:{:?} rows_changed:{}",
+                    round + 1,
+                    rep.delta,
+                    rep.rows_changed
+                )
+            });
+            cur = next;
+            if rep.converged {
+                break;
+            }
+        }
+        Ok(cur)
+    }
 }
 
 thread_local! {
@@ -759,211 +996,6 @@ impl TransferLog {
     }
 }
 
-/// Attempt the real server→server push of a non-root fragment's output
-/// (RemoteTcp mode). Returns `Ok(true)` when the output was delivered,
-/// `Ok(false)` to fall back to the store-based path — either because the
-/// providers have no transport, or because the push failed and the
-/// executor degrades the transfer (counted in `degraded_transfers`).
-#[allow(clippy::too_many_arguments)]
-fn try_remote_push(
-    registry: &Registry,
-    frag: &Fragment,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
-    tlog: &mut TransferLog,
-) -> Result<bool> {
-    let provider = registry.provider(&frag.site)?;
-    let dest = registry.provider(&frag.dest_site)?;
-    let Some(dest_ep) = dest.endpoint() else {
-        return Ok(false);
-    };
-    let name = format!("{FRAG_PREFIX}{}", frag.id);
-    let plan_bytes = encode_plan(&frag.plan);
-    let attempts = opts.recovery.attempts();
-    let mut backoff = opts.recovery.backoff;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            metrics.retries += 1;
-            sleep_backoff(&mut backoff);
-        }
-        tlog.event(|| "attempt:push".into());
-        metrics.record_plan_shipment(&opts.net, plan_bytes.len());
-        let before = wire_total(provider.as_ref());
-        let pushed = {
-            let _scope = scope::install(tracer, provider.name(), tlog.span_id());
-            provider.execute_push(&frag.plan, &dest_ep, &name)
-        };
-        match pushed {
-            None => {
-                // Provider has no transport: un-count the shipment we
-                // charged optimistically and fall back to store-based.
-                metrics.messages -= 1;
-                metrics.plan_bytes -= plan_bytes.len();
-                metrics.sim_network_s -= opts.net.message_time(plan_bytes.len());
-                return Ok(false);
-            }
-            Some(Ok(pushed)) => {
-                // Client-side traffic (request + ack) plus the
-                // server-to-server payload are all real bytes.
-                metrics.real_wire_bytes += pushed + (wire_total(provider.as_ref()) - before);
-                metrics.record_transfer(
-                    &opts.net,
-                    &frag.site,
-                    &frag.dest_site,
-                    pushed as usize,
-                    false,
-                );
-                registry.health().record_success(&frag.site);
-                staged.lock().unwrap().push((frag.dest_site.clone(), name));
-                tlog.delivered("push", pushed as usize);
-                return Ok(true);
-            }
-            Some(Err(e)) => {
-                metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;
-                tlog.event(|| format!("error:{e}"));
-                flight::global().record(&frag.site, || {
-                    format!("push fragment:{}@{} failed: {e}", frag.id, frag.site)
-                });
-                if registry.health().record_failure(&frag.site) {
-                    metrics.breaker_trips += 1;
-                    tlog.event(|| format!("breaker:trip:{}", frag.site));
-                    flight::global().record(&frag.site, || format!("breaker trip: {}", frag.site));
-                }
-                if opts.recovery.enabled && e.is_transient() && attempt + 1 < attempts {
-                    continue;
-                }
-                if !opts.recovery.enabled {
-                    return Err(e);
-                }
-                // Push is unrecoverable here: degrade to the store-based
-                // Direct path (the executor re-runs the fragment below).
-                metrics.degraded_transfers += 1;
-                tlog.event(|| "degrade:direct".into());
-                return Ok(false);
-            }
-        }
-    }
-    unreachable!("push loop returns from its last attempt")
-}
-
-/// Run one non-app fragment with retry and, when that fails for good,
-/// failover onto another capable provider.
-#[allow(clippy::too_many_arguments)]
-fn execute_fragment(
-    registry: &Registry,
-    placement: &Placement,
-    frag: &Fragment,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    cache: &Mutex<HashMap<usize, DataSet>>,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
-    span: Option<u64>,
-) -> Result<DataSet> {
-    let primary = match execute_at(
-        registry, &frag.site, &frag.plan, opts, metrics, tracer, span,
-    ) {
-        Ok(out) => return Ok(out),
-        Err(e) => e,
-    };
-    if !(opts.recovery.enabled && opts.recovery.failover) {
-        return Err(primary);
-    }
-    tracer.event(span, || format!("failed:{}:{primary}", frag.site));
-    flight::global().record(&frag.site, || {
-        format!(
-            "fragment:{}@{} failed permanently: {primary}",
-            frag.id, frag.site
-        )
-    });
-    for candidate in failover_candidates(registry, frag) {
-        if reship_inputs(
-            registry, placement, frag, &candidate, opts, metrics, cache, staged, tracer, span,
-        )
-        .is_err()
-        {
-            continue;
-        }
-        if let Ok(out) = execute_at(
-            registry, &candidate, &frag.plan, opts, metrics, tracer, span,
-        ) {
-            metrics.failovers += 1;
-            tracer.event(span, || format!("failover:{candidate}"));
-            flight::global().record(&candidate, || {
-                format!("failover: fragment:{} {}→{candidate}", frag.id, frag.site)
-            });
-            return Ok(out);
-        }
-    }
-    // No candidate could take over: surface the original failure.
-    Err(primary)
-}
-
-/// Ship `plan` to the provider at `site` and execute it, retrying
-/// transient failures per the recovery policy. Reports outcomes to the
-/// registry's health board.
-#[allow(clippy::too_many_arguments)]
-fn execute_at(
-    registry: &Registry,
-    site: &str,
-    plan: &Plan,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    tracer: &Tracer,
-    span: Option<u64>,
-) -> Result<DataSet> {
-    let provider = registry.provider(site)?;
-    let plan_bytes = encode_plan(plan);
-    let attempts = opts.recovery.attempts();
-    let mut backoff = opts.recovery.backoff;
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            metrics.retries += 1;
-            tracer.event(span, || {
-                format!("retry:execute@{site} attempt {}", attempt + 1)
-            });
-            sleep_backoff(&mut backoff);
-        }
-        // The plan ships to the provider as one expression tree, once per
-        // attempt — retries are not free.
-        metrics.record_plan_shipment(&opts.net, plan_bytes.len());
-        let before = wire_total(provider.as_ref());
-        // When tracing, the provider's internal spans (per-operator
-        // timings, server-side handling) land under this fragment's span
-        // through the thread-local scope.
-        let result = {
-            let _scope = scope::install(tracer, provider.name(), span);
-            provider.execute(plan)
-        };
-        metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;
-        match result {
-            Ok(out) => {
-                registry.health().record_success(site);
-                return Ok(out);
-            }
-            Err(e) => {
-                flight::global().record(site, || {
-                    format!("execute@{site} attempt {} failed: {e}", attempt + 1)
-                });
-                if registry.health().record_failure(site) {
-                    metrics.breaker_trips += 1;
-                    tracer.event(span, || format!("breaker:trip:{site}"));
-                    flight::global().record(site, || format!("breaker trip: {site}"));
-                }
-                let transient = e.is_transient();
-                last_err = Some(e);
-                if !transient {
-                    break;
-                }
-            }
-        }
-    }
-    Err(last_err.expect("at least one attempt ran"))
-}
-
 /// Providers able to take over `frag` after its pinned site failed for
 /// good: breaker-available, capability-covering, and already holding every
 /// base dataset the fragment scans (staged inputs are re-shipped, base
@@ -986,178 +1018,6 @@ fn failover_candidates(registry: &Registry, frag: &Fragment) -> Vec<String> {
         .collect()
 }
 
-/// Re-ship a failed-over fragment's staged inputs to its new site. Inputs
-/// the app tier never saw (RemoteTcp pushes) are recovered by re-running
-/// their producer fragments.
-#[allow(clippy::too_many_arguments)]
-fn reship_inputs(
-    registry: &Registry,
-    placement: &Placement,
-    frag: &Fragment,
-    new_site: &str,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    cache: &Mutex<HashMap<usize, DataSet>>,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
-    span: Option<u64>,
-) -> Result<()> {
-    let dest = registry.provider(new_site)?;
-    for &input in &frag.inputs {
-        // Never hold the cache lock across a provider call: on a miss the
-        // producer re-runs (possibly slowly) and other fragments must keep
-        // making progress.
-        let cached = cache.lock().unwrap().get(&input).cloned();
-        let data = match cached {
-            Some(d) => d,
-            None => {
-                let producer = placement
-                    .fragments
-                    .iter()
-                    .find(|f| f.id == input)
-                    .ok_or_else(|| CoreError::Plan(format!("unknown fragment input {input}")))?;
-                let out = execute_at(
-                    registry,
-                    &producer.site,
-                    &producer.plan,
-                    opts,
-                    metrics,
-                    tracer,
-                    span,
-                )?;
-                cache.lock().unwrap().insert(input, out.clone());
-                out
-            }
-        };
-        let name = format!("{FRAG_PREFIX}{input}");
-        let bytes = encode_dataset(&data).len();
-        // The recovery hop goes through the app tier by construction.
-        metrics.record_transfer(&opts.net, "app", new_site, bytes, true);
-        let mut rspan = tracer.start(span, || format!("reship:{input}"), "app");
-        rspan.set_bytes(bytes as u64);
-        let before = wire_total(dest.as_ref());
-        dest.store(&name, data)?;
-        metrics.real_wire_bytes += wire_total(dest.as_ref()) - before;
-        rspan.finish();
-        staged.lock().unwrap().push((new_site.to_string(), name));
-    }
-    Ok(())
-}
-
-/// Stage a fragment's output at the consuming site, retrying transient
-/// store failures; a Direct transfer that keeps failing degrades to the
-/// app-routed path (counted in `degraded_transfers`) before giving up.
-#[allow(clippy::too_many_arguments)]
-fn stage_output(
-    registry: &Registry,
-    frag: &Fragment,
-    out: DataSet,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
-    tlog: &mut TransferLog,
-) -> Result<()> {
-    let name = format!("{FRAG_PREFIX}{}", frag.id);
-    let bytes = encode_dataset(&out).len();
-    let via_app = opts.transfer == TransferMode::AppRouted;
-    let rung = if via_app { "app-routed" } else { "direct" };
-    tlog.event(|| format!("attempt:{rung}"));
-    match store_with_retry(
-        registry,
-        &frag.dest_site,
-        &name,
-        &out,
-        opts,
-        metrics,
-        tracer,
-        tlog.span_id(),
-    ) {
-        Ok(()) => {
-            metrics.record_transfer(&opts.net, &frag.site, &frag.dest_site, bytes, via_app);
-            staged.lock().unwrap().push((frag.dest_site.clone(), name));
-            tlog.delivered(rung, bytes);
-            Ok(())
-        }
-        Err(e) if !via_app && opts.recovery.enabled => {
-            // Degrade Direct → AppRouted: the app tier takes custody of
-            // the intermediate and re-delivers it on the two-hop path.
-            metrics.degraded_transfers += 1;
-            tlog.event(|| format!("error:{e}"));
-            tlog.event(|| "degrade:app-routed".into());
-            tlog.event(|| "attempt:app-routed".into());
-            store_with_retry(
-                registry,
-                &frag.dest_site,
-                &name,
-                &out,
-                opts,
-                metrics,
-                tracer,
-                tlog.span_id(),
-            )
-            .map_err(|_| e)?;
-            metrics.record_transfer(&opts.net, &frag.site, &frag.dest_site, bytes, true);
-            staged.lock().unwrap().push((frag.dest_site.clone(), name));
-            tlog.delivered("app-routed", bytes);
-            Ok(())
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// `Provider::store` with transient-failure retry and health reporting.
-#[allow(clippy::too_many_arguments)]
-fn store_with_retry(
-    registry: &Registry,
-    site: &str,
-    name: &str,
-    data: &DataSet,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    tracer: &Tracer,
-    span: Option<u64>,
-) -> Result<()> {
-    let provider = registry.provider(site)?;
-    let attempts = opts.recovery.attempts();
-    let mut backoff = opts.recovery.backoff;
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            metrics.retries += 1;
-            tracer.event(span, || {
-                format!("retry:store@{site} attempt {}", attempt + 1)
-            });
-            sleep_backoff(&mut backoff);
-        }
-        let before = wire_total(provider.as_ref());
-        let result = provider.store(name, data.clone());
-        metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;
-        match result {
-            Ok(()) => {
-                registry.health().record_success(site);
-                return Ok(());
-            }
-            Err(e) => {
-                flight::global().record(site, || {
-                    format!("store {name}@{site} attempt {} failed: {e}", attempt + 1)
-                });
-                if registry.health().record_failure(site) {
-                    metrics.breaker_trips += 1;
-                    tracer.event(span, || format!("breaker:trip:{site}"));
-                    flight::global().record(site, || format!("breaker trip: {site}"));
-                }
-                let transient = e.is_transient();
-                last_err = Some(e);
-                if !transient {
-                    break;
-                }
-            }
-        }
-    }
-    Err(last_err.expect("at least one attempt ran"))
-}
-
 /// Sleep the current backoff, then double it for the next retry.
 fn sleep_backoff(backoff: &mut Duration) {
     if !backoff.is_zero() {
@@ -1170,70 +1030,6 @@ fn sleep_backoff(backoff: &mut Duration) {
 fn wire_total(p: &dyn bda_core::Provider) -> u64 {
     let (sent, received) = p.wire_bytes();
     sent + received
-}
-
-/// Client/app-driven iteration: the fallback when no provider can host an
-/// `Iterate` node. Each iteration re-enters the federation with the loop
-/// state inlined as a `Values` literal — so the state crosses the wire
-/// (inside the shipped plan) every round, which is precisely the cost the
-/// paper's "control iteration" extension avoids.
-fn run_app_iterate(
-    registry: &Registry,
-    plan: &Plan,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    tracer: &Tracer,
-    span: Option<u64>,
-    progress: &ProgressHandle,
-) -> Result<DataSet> {
-    let Plan::Iterate {
-        init,
-        body,
-        max_iters,
-        epsilon,
-    } = plan
-    else {
-        return Err(CoreError::Plan(format!(
-            "app-site fragment must be an iterate, got {}",
-            plan.op_kind().name()
-        )));
-    };
-    let (mut cur, m) = run_plan_traced(registry, init, opts, tracer, span)?;
-    metrics.absorb(m);
-    for round in 0..*max_iters {
-        tracer.event(span, || format!("iteration:{}", round + 1));
-        // One span per iteration: the round's fragments nest under it and
-        // its events carry the convergence numbers the `/progress`
-        // endpoint and `EXPLAIN ANALYZE`'s convergence table render.
-        let mut ispan = tracer.start(span, || format!("iteration:{}", round + 1), APP_SITE);
-        let state_rows: Vec<Row> = cur.rows()?;
-        let body_inlined = substitute_state(body, &cur, &state_rows);
-        let (next, m) = run_plan_traced(registry, &body_inlined, opts, tracer, ispan.id())?;
-        metrics.absorb(m);
-        metrics.client_driven_iterations += 1;
-        let rep = report(&cur, &next, *epsilon)?;
-        ispan.set_rows(next.num_rows());
-        ispan.event(|| match rep.delta {
-            Some(d) => format!("delta:{d:.9}"),
-            None => "delta:undefined".into(),
-        });
-        ispan.event(|| format!("rows_changed:{}", rep.rows_changed));
-        ispan.finish();
-        progress.iteration(round + 1, *max_iters, rep.delta, Some(rep.rows_changed));
-        flight::global().record(APP_SITE, || {
-            format!(
-                "iteration:{} delta:{:?} rows_changed:{}",
-                round + 1,
-                rep.delta,
-                rep.rows_changed
-            )
-        });
-        cur = next;
-        if rep.converged {
-            break;
-        }
-    }
-    Ok(cur)
 }
 
 /// Replace every `IterState` leaf by a `Values` literal of the current
@@ -1273,6 +1069,11 @@ mod tests {
     use std::collections::HashMap;
     use std::sync::Arc;
 
+    /// [`run_plan`] without a trace.
+    fn run(r: &Registry, plan: &Plan, opts: &ExecOptions) -> Result<(DataSet, Metrics)> {
+        run_plan(r, plan, opts, &Tracer::disabled(), None)
+    }
+
     fn registry() -> Registry {
         let rel = RelationalEngine::new("rel");
         rel.store(
@@ -1307,7 +1108,7 @@ mod tests {
         let plan = Plan::scan("sales", r.schema_of("sales").unwrap())
             .select(col("v").gt(lit(1.5)))
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, col("v"), "s")]);
-        let (out, m) = run_plan(&r, &plan, &ExecOptions::default()).unwrap();
+        let (out, m) = run(&r, &plan, &ExecOptions::default()).unwrap();
         assert_eq!(scalar_of(&out).unwrap(), Value::Float(9.0));
         assert_eq!(m.fragments, 1);
         assert_eq!(m.app_tier_bytes(), 0);
@@ -1320,8 +1121,8 @@ mod tests {
             "b",
             r.provider("la").unwrap().schema_of("b").unwrap(),
         ));
-        let direct = run_plan(&r, &plan, &ExecOptions::default()).unwrap();
-        let routed = run_plan(
+        let direct = run(&r, &plan, &ExecOptions::default()).unwrap();
+        let routed = run(
             &r,
             &plan,
             &ExecOptions {
@@ -1357,7 +1158,7 @@ mod tests {
             "b",
             r.provider("la").unwrap().schema_of("b").unwrap(),
         ));
-        let (out, _) = run_plan(&r, &plan, &ExecOptions::default()).unwrap();
+        let (out, _) = run(&r, &plan, &ExecOptions::default()).unwrap();
         // Oracle over a merged source.
         let mut src = HashMap::new();
         src.insert(
@@ -1386,7 +1187,7 @@ mod tests {
             max_iters: 50,
             epsilon: Some(1e-6),
         };
-        let (out, m) = run_plan(&r, &plan, &ExecOptions::default()).unwrap();
+        let (out, m) = run(&r, &plan, &ExecOptions::default()).unwrap();
         assert_eq!(m.client_driven_iterations, 0, "loop must run server-side");
         assert_eq!(m.fragments, 1);
         assert_eq!(out.num_rows(), 4);
@@ -1412,7 +1213,7 @@ mod tests {
             max_iters: 4,
             epsilon: None,
         };
-        let (out, m) = run_plan(&r, &plan, &ExecOptions::default()).unwrap();
+        let (out, m) = run(&r, &plan, &ExecOptions::default()).unwrap();
         assert_eq!(m.client_driven_iterations, 4);
         let (_, _, data) = dataset_matrix(&out).unwrap();
         // (0.5 I)^4 = 0.0625 I.
@@ -1427,6 +1228,8 @@ mod tests {
             &r,
             &Placement { fragments: vec![] },
             &ExecOptions::default(),
+            &Tracer::disabled(),
+            None,
         )
         .unwrap_err();
         assert!(err.to_string().contains("empty placement"), "{err}");
@@ -1456,7 +1259,7 @@ mod tests {
         r.register(Arc::new(faulty));
         let plan = Plan::scan("sales", r.schema_of("sales").unwrap())
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, col("v"), "s")]);
-        let (out, m) = run_plan(&r, &plan, &ExecOptions::default()).unwrap();
+        let (out, m) = run(&r, &plan, &ExecOptions::default()).unwrap();
         assert_eq!(scalar_of(&out).unwrap(), Value::Float(10.0));
         assert_eq!(m.retries, 2);
         assert_eq!(m.failovers, 0);
@@ -1485,7 +1288,7 @@ mod tests {
             recovery: RecoveryPolicy::disabled(),
             ..Default::default()
         };
-        let err = run_plan(&r, &plan, &opts).unwrap_err();
+        let err = run(&r, &plan, &opts).unwrap_err();
         assert!(err.to_string().contains("injected transient"), "{err}");
     }
 
@@ -1516,7 +1319,7 @@ mod tests {
             "b",
             r.provider("la2").unwrap().schema_of("b").unwrap(),
         ));
-        let (out, m) = run_plan(&r, &plan, &ExecOptions::default()).unwrap();
+        let (out, m) = run(&r, &plan, &ExecOptions::default()).unwrap();
         let (_, _, data) = dataset_matrix(&out).unwrap();
         assert_eq!(data, vec![58., 64., 139., 154.]);
         assert_eq!(m.failovers, 1);
@@ -1609,7 +1412,7 @@ mod tests {
             ..Default::default()
         };
         let tracer = Tracer::new(7);
-        let (out, m) = run_plan_traced(&r, &plan, &opts, &tracer, None).unwrap();
+        let (out, m) = run_plan(&r, &plan, &opts, &tracer, None).unwrap();
         let (_, _, data) = dataset_matrix(&out).unwrap();
         assert_eq!(data, vec![58., 64., 139., 154.]);
         assert_eq!(m.degraded_transfers, 2, "push→direct and direct→app-routed");
@@ -1654,7 +1457,7 @@ mod tests {
             .clone()
             .join(scan, vec![("k", "k")])
             .aggregate(vec!["k"], vec![AggExpr::new(AggFunc::Sum, col("v"), "s")]);
-        let seq = run_plan(
+        let seq = run(
             &r,
             &plan,
             &ExecOptions {
@@ -1668,7 +1471,7 @@ mod tests {
             workers: 4,
             ..Default::default()
         };
-        let (out, m) = run_plan_traced(&r, &plan, &opts, &tracer, None).unwrap();
+        let (out, m) = run_plan(&r, &plan, &opts, &tracer, None).unwrap();
         assert!(out.same_bag(&seq.0).unwrap());
         assert_eq!(m.fragments, seq.1.fragments);
         // The engine ran partitioned kernels: per-partition spans land in
@@ -1706,7 +1509,7 @@ mod tests {
             workers: 4,
             ..Default::default()
         };
-        let (out, m) = run_plan(&r, &plan, &opts).unwrap();
+        let (out, m) = run(&r, &plan, &opts).unwrap();
         let (_, _, data) = dataset_matrix(&out).unwrap();
         assert_eq!(data, vec![58., 64., 139., 154.]);
         assert_eq!(m.failovers, 1);
@@ -1741,7 +1544,7 @@ mod tests {
             workers: 4,
             ..Default::default()
         };
-        let (out, m) = run_plan(&r, &plan, &opts).unwrap();
+        let (out, m) = run(&r, &plan, &opts).unwrap();
         assert_eq!(m.client_driven_iterations, 4);
         let (_, _, data) = dataset_matrix(&out).unwrap();
         assert!((data[0] - 0.0625).abs() < 1e-12, "{data:?}");
@@ -1772,7 +1575,7 @@ mod tests {
             workers: 4,
             ..Default::default()
         };
-        let err = run_plan(&r, &plan, &opts).unwrap_err();
+        let err = run(&r, &plan, &opts).unwrap_err();
         assert!(err.to_string().contains("injected transient"), "{err}");
     }
 
@@ -1780,8 +1583,189 @@ mod tests {
     fn plan_shipping_counts_bytes() {
         let r = registry();
         let plan = Plan::scan("sales", r.schema_of("sales").unwrap()).limit(1);
-        let (_, m) = run_plan(&r, &plan, &ExecOptions::default()).unwrap();
+        let (_, m) = run(&r, &plan, &ExecOptions::default()).unwrap();
         assert!(m.plan_bytes > 0);
         assert!(m.messages >= 2); // plan shipment + result return
+    }
+
+    /// A provider decorator that counts `execute` calls and records the
+    /// thread of every provider call; once `down`, every `execute` fails
+    /// permanently.
+    struct Counting {
+        inner: Box<dyn Provider>,
+        down: std::sync::atomic::AtomicBool,
+        executes: std::sync::atomic::AtomicUsize,
+        threads: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl Counting {
+        fn new(inner: impl Provider + 'static) -> Arc<Counting> {
+            Arc::new(Counting {
+                inner: Box::new(inner),
+                down: Default::default(),
+                executes: Default::default(),
+                threads: Mutex::default(),
+            })
+        }
+
+        fn executes(&self) -> usize {
+            self.executes.load(std::sync::atomic::Ordering::SeqCst)
+        }
+
+        fn called(&self) {
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+        }
+    }
+
+    impl Provider for Counting {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn capabilities(&self) -> bda_core::CapabilitySet {
+            self.inner.capabilities()
+        }
+        fn catalog(&self) -> Vec<(String, bda_storage::Schema)> {
+            self.inner.catalog()
+        }
+        fn execute(&self, plan: &Plan) -> Result<DataSet> {
+            self.called();
+            self.executes
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if self.down.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(CoreError::Plan(format!("{} is down", self.name())));
+            }
+            self.inner.execute(plan)
+        }
+        fn store(&self, name: &str, data: DataSet) -> Result<()> {
+            self.called();
+            self.inner.store(name, data)
+        }
+        fn remove(&self, name: &str) {
+            self.called();
+            self.inner.remove(name)
+        }
+        fn row_count_of(&self, name: &str) -> Option<usize> {
+            self.inner.row_count_of(name)
+        }
+    }
+
+    /// Two relational sites each holding one operand of a matmul that
+    /// only the linalg site runs natively: the planner cuts each scan
+    /// into its own fragment, independent of the other, and places the
+    /// matmul root at `la`.
+    fn two_site_matmul() -> (Registry, [Arc<Counting>; 3], Plan) {
+        let x = RelationalEngine::new("x");
+        x.store(
+            "a",
+            matrix_dataset(2, 3, vec![1., 2., 3., 4., 5., 6.]).unwrap(),
+        )
+        .unwrap();
+        let y = RelationalEngine::new("y");
+        y.store(
+            "b",
+            matrix_dataset(3, 2, vec![7., 8., 9., 10., 11., 12.]).unwrap(),
+        )
+        .unwrap();
+        let sites = [
+            Counting::new(x),
+            Counting::new(y),
+            Counting::new(LinAlgEngine::new("la")),
+        ];
+        let mut r = Registry::new();
+        for s in &sites {
+            r.register(s.clone());
+        }
+        let plan = Plan::scan("a", r.schema_of("a").unwrap())
+            .matmul(Plan::scan("b", r.schema_of("b").unwrap()));
+        (r, sites, plan)
+    }
+
+    /// The site running `placement`'s first fragment.
+    fn first_placed<'a>(sites: &'a [Arc<Counting>; 3], placement: &Placement) -> &'a Counting {
+        let first = &placement.fragments[0].site;
+        sites.iter().find(|s| s.name() == first).unwrap()
+    }
+
+    #[test]
+    fn one_worker_runs_inline_in_placement_order_and_stops_at_the_first_failure() {
+        let (r, sites, plan) = two_site_matmul();
+        let opts = ExecOptions {
+            recovery: RecoveryPolicy::disabled(),
+            workers: 1,
+            ..Default::default()
+        };
+        let (_, _, placement) = place(&r, &plan, &opts).unwrap();
+        let placed: Vec<&str> = placement
+            .fragments
+            .iter()
+            .map(|f| f.site.as_str())
+            .collect();
+        assert_eq!(
+            placed.len(),
+            3,
+            "two operand fragments and a root: {placed:?}"
+        );
+        assert!(placement.fragments[1].inputs.is_empty(), "{placement:?}");
+        let first = first_placed(&sites, &placement);
+        let other = sites.iter().find(|s| s.name() == placed[1]).unwrap();
+        assert_ne!(first.name(), other.name());
+
+        let (out, _) = run(&r, &plan, &opts).unwrap();
+        let (_, _, data) = dataset_matrix(&out).unwrap();
+        assert_eq!(data, vec![58., 64., 139., 154.]);
+        first.down.store(true, std::sync::atomic::Ordering::SeqCst);
+        let before = other.executes();
+        let err = run(&r, &plan, &opts).unwrap_err();
+        assert!(err.to_string().contains("is down"), "{err}");
+        assert_eq!(
+            other.executes(),
+            before,
+            "no fragment after the failed one may run"
+        );
+
+        // No pool at one worker: every provider call of both runs came
+        // from this thread, which `QUERY_DEPTH` and `scope` rely on.
+        let me = std::thread::current().id();
+        for s in &sites {
+            let threads = s.threads.lock().unwrap();
+            assert!(!threads.is_empty(), "{} was never called", s.name());
+            assert!(
+                threads.iter().all(|t| *t == me),
+                "{} ran off-thread",
+                s.name()
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_fragment_is_not_done_on_the_progress_board() {
+        let (r, sites, plan) = two_site_matmul();
+        let opts = ExecOptions {
+            recovery: RecoveryPolicy::disabled(),
+            workers: 2,
+            ..Default::default()
+        };
+        let (_, _, placement) = place(&r, &plan, &opts).unwrap();
+        let failed = placement.fragments[0].id as u64;
+        first_placed(&sites, &placement)
+            .down
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+
+        let tracer = Tracer::new(0x13f);
+        run_plan(&r, &plan, &opts, &tracer, None).unwrap_err();
+        let entry = progress::global()
+            .snapshot()
+            .into_iter()
+            .find(|q| q.trace_id == tracer.trace_id())
+            .expect("the query is on the progress board");
+        assert_eq!(entry.state, "failed");
+        assert!(
+            entry.fragments_done.iter().all(|f| f.id != failed),
+            "fragment {failed} failed but is listed done: {:?}",
+            entry.fragments_done
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! provider that did the work — plus the run's [`Metrics`] summary.
 //!
 //! The tree is the span tree the executor and the providers recorded
-//! ([`crate::executor::execute_placement_traced`]): `query` at the app
+//! ([`crate::executor::execute_placement`]): `query` at the app
 //! tier, one `fragment:{id}` per placed fragment at its site,
 //! `transfer:{id}` spans for inter-site movement (with the degradation
 //! ladder's attempt events inline), and the providers' `op:{kind}` spans

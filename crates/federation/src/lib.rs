@@ -23,9 +23,7 @@ pub mod planner;
 pub mod registry;
 
 pub use cluster::{Cluster, WireStats};
-pub use executor::{
-    run_plan, run_plan_traced, ExecOptions, RecoveryPolicy, TransferMode, CALIBRATE_ENV,
-};
+pub use executor::{run_plan, ExecOptions, RecoveryPolicy, TransferMode, CALIBRATE_ENV};
 pub use explain::{render_analyze, render_analyze_with_costs};
 pub use fault::{
     disk_faults_from_env, fault_seed_from_env, DiskFaults, FaultConfig, FaultyProvider,
@@ -107,15 +105,16 @@ impl Federation {
         plan: &Plan,
         options: &ExecOptions,
     ) -> Result<(DataSet, Metrics), CoreError> {
+        let untraced = bda_obs::Tracer::disabled();
         if !bda_obs::meter::enabled() {
-            return run_plan(&self.registry, plan, options);
+            return run_plan(&self.registry, plan, options, &untraced, None);
         }
         // Metered untraced path: no span tree to distill, so charge the
         // run's wall clock and the executor's own accounting to the
         // in-process tenant. One Instant and one book update — cheap
         // enough for the 2% overhead budget the CI guard enforces.
         let start = std::time::Instant::now();
-        let result = run_plan(&self.registry, plan, options);
+        let result = run_plan(&self.registry, plan, options, &untraced, None);
         if let Ok((data, metrics)) = &result {
             bda_obs::meter::global_usage().charge_query(
                 bda_obs::meter::DEFAULT_TENANT,
@@ -159,7 +158,7 @@ impl Federation {
         tracer: &bda_obs::Tracer,
         tenant: &str,
     ) -> Result<(DataSet, Metrics), CoreError> {
-        let result = run_plan_traced(&self.registry, plan, &self.options, tracer, None);
+        let result = run_plan(&self.registry, plan, &self.options, tracer, None);
         if tracer.is_enabled() {
             let trace = tracer.finish();
             let trace_id = trace.trace_id;
@@ -280,24 +279,12 @@ impl Federation {
     /// Explain how a plan would execute: the optimized plan, the fragment
     /// placement, and per-fragment details — without running anything.
     /// With `options.workers > 1`, the printed fragments carry the
-    /// `exchange`/`merge` markers the parallel executor would run. With
+    /// `exchange`/`merge` markers the executor would run. With
     /// statistics enabled (the default), fragments disproved by table
     /// statistics show up as empty `values` leaves and hash-exchange
     /// partition counts are capped at the key's distinct-value estimate.
     pub fn explain(&self, plan: &Plan) -> Result<String, CoreError> {
-        let (optimized, pruned) =
-            optimize::optimize_with_stats(plan, self.options.optimizer, &|name| {
-                self.registry.table_stats(name)
-            });
-        let costs = self
-            .options
-            .calibrate
-            .then(|| bda_obs::profile::global_costs().clone());
-        let placement = Planner::new(&self.registry)
-            .with_workers(self.options.workers)
-            .with_costs(costs)
-            .with_stats(self.options.optimizer.use_stats)
-            .place(&optimized)?;
+        let (optimized, pruned, placement) = executor::place(&self.registry, plan, &self.options)?;
         let mut out = String::new();
         if pruned > 0 {
             out.push_str(&format!(
@@ -397,6 +384,9 @@ mod tests {
                     .schema_of("b")
                     .unwrap(),
             ));
+        // One worker whatever BDA_WORKERS says: the matmul must run as
+        // itself, not as partitions under a `merge`.
+        fed.options_mut().workers = 1;
         let s = fed.explain_analyze(&plan, 42).unwrap();
         assert!(s.contains("query @ app"), "{s}");
         assert!(s.contains("fragment:0 @ rel"), "{s}");
@@ -422,6 +412,7 @@ mod tests {
         fed.register(Arc::new(rel));
         let scan = Plan::scan("t", fed.registry().schema_of("t").unwrap());
         let plan = scan.clone().join(scan, vec![("k", "k")]);
+        fed.options_mut().workers = 1; // whatever BDA_WORKERS says
         let sequential = fed.explain(&plan).unwrap();
         assert!(!sequential.contains("exchange"), "{sequential}");
         fed.options_mut().workers = 4;

@@ -58,6 +58,8 @@ fn main() {
         &rel_only,
         q.plan(),
         &bda::federation::ExecOptions::default(),
+        &bda::obs::Tracer::disabled(),
+        None,
     )
     .expect("lowered pagerank");
     println!("lowered (relational engine, server-side loop):");

@@ -8,6 +8,7 @@ use bda::core::{col, lit, GraphOp, OpKind, Plan, Provider};
 use bda::federation::{run_plan, ExecOptions, Federation, MaskedProvider, Registry};
 use bda::graph::GraphEngine;
 use bda::lang::Query;
+use bda::obs::Tracer;
 use bda::relational::RelationalEngine;
 use bda::storage::{DataType, Field, Row, Schema, Value};
 use bda::workloads::{random_graph, GraphSpec};
@@ -60,7 +61,8 @@ fn pagerank_native_lowered_and_client_driven_agree() {
     // Lowered, loop on the relational server.
     let mut rel_only = Registry::new();
     rel_only.register(fed.registry().provider("rel").unwrap());
-    let (lowered, m_lowered) = run_plan(&rel_only, &plan, &opts).unwrap();
+    let (lowered, m_lowered) =
+        run_plan(&rel_only, &plan, &opts, &Tracer::disabled(), None).unwrap();
     assert_eq!(m_lowered.client_driven_iterations, 0);
 
     // Client-driven: relational engine with Iterate masked off.
@@ -69,7 +71,7 @@ fn pagerank_native_lowered_and_client_driven_agree() {
         fed.registry().provider("rel").unwrap(),
         vec![OpKind::Iterate],
     )));
-    let (driven, m_driven) = run_plan(&client, &plan, &opts).unwrap();
+    let (driven, m_driven) = run_plan(&client, &plan, &opts, &Tracer::disabled(), None).unwrap();
     assert!(m_driven.client_driven_iterations > 0);
     // Client-driven pays in messages and shipped plan bytes.
     assert!(m_driven.messages > m_lowered.messages * 5);
