@@ -55,7 +55,7 @@ pub enum Partitioner {
 /// Deterministic hash of a slice of values. Uses `DefaultHasher` with
 /// its fixed default keys, so the routing is stable across processes —
 /// required for byte-identical results under different worker counts.
-pub fn hash_values(values: &[&Value]) -> u64 {
+pub fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     for v in values {
         v.hash(&mut h);
@@ -105,9 +105,12 @@ impl Partitioner {
     /// Split `ds` into exactly `parts` datasets (some possibly empty).
     ///
     /// The result depends only on the input data and the partitioner —
-    /// never on worker counts or scheduling — and multi-chunk inputs are
-    /// folded through [`DataSet::to_rows_chunk`] first, so chunk layout
-    /// does not affect routing either.
+    /// never on worker counts or scheduling — and chunk layout does not
+    /// affect routing either: concatenating a partition's chunks gives
+    /// the same rows in the same order for any chunking of `ds`. Routing
+    /// is chunk at a time: every input chunk contributes at most one
+    /// chunk to each partition, gathered column-wise with one `take`. A
+    /// single partition is `ds` itself, shared.
     pub fn split(&self, ds: &DataSet) -> Result<Vec<DataSet>> {
         let parts = self.parts();
         if parts == 0 {
@@ -115,15 +118,10 @@ impl Partitioner {
                 "partitioner needs at least 1 partition".into(),
             ));
         }
-        let schema = ds.schema().clone();
-        let chunk = ds.to_rows_chunk()?;
-
         if parts == 1 {
-            let out = DataSet::new(schema, vec![Chunk::Rows(chunk)]);
-            return Ok(vec![out]);
+            return Ok(vec![ds.clone()]);
         }
-
-        let mut buckets: Vec<RowsChunk> = (0..parts).map(|_| RowsChunk::empty(&schema)).collect();
+        let schema = ds.schema();
         match self {
             Partitioner::Hash { keys, .. } => {
                 let idx: Vec<usize> = keys
@@ -134,16 +132,16 @@ impl Partitioner {
                         })
                     })
                     .collect::<Result<_>>()?;
-                for i in 0..chunk.len() {
-                    let row = chunk.row(i);
-                    let key_vals: Vec<&Value> = idx.iter().map(|&j| row.get(j)).collect();
-                    let b = if key_vals.iter().all(|v| v.is_null()) {
+                let mut key: Vec<Value> = Vec::with_capacity(idx.len());
+                gather(ds, parts, |chunk, i, _| {
+                    key.clear();
+                    key.extend(idx.iter().map(|&j| chunk.column(j).get(i)));
+                    if key.iter().all(Value::is_null) {
                         0
                     } else {
-                        (hash_values(&key_vals) % parts as u64) as usize
-                    };
-                    buckets[b].push_row(&row)?;
-                }
+                        (hash_values(&key) % parts as u64) as usize
+                    }
+                })
             }
             Partitioner::Range { key, .. } => {
                 let j = schema.index_of(key).map_err(|_| {
@@ -151,8 +149,9 @@ impl Partitioner {
                 })?;
                 let mut lo = f64::INFINITY;
                 let mut hi = f64::NEG_INFINITY;
-                for i in 0..chunk.len() {
-                    if let Ok(v) = chunk.row(i).get(j).as_float() {
+                for chunk in ds.chunks() {
+                    let rows = chunk.rows_view(schema)?;
+                    for v in rows.column(j).iter().filter_map(|v| v.as_float().ok()) {
                         lo = lo.min(v);
                         hi = hi.max(v);
                     }
@@ -162,53 +161,79 @@ impl Partitioner {
                 } else {
                     0.0
                 };
-                for i in 0..chunk.len() {
-                    let row = chunk.row(i);
-                    let b = match row.get(j).as_float() {
+                gather(ds, parts, |chunk, i, _| {
+                    match chunk.column(j).get(i).as_float() {
                         Ok(v) if width > 0.0 => (((v - lo) / width) as usize).min(parts - 1),
                         // All-equal keys (width 0) collapse into one
                         // partition; nulls and non-numerics go to 0.
                         _ => 0,
-                    };
-                    buckets[b].push_row(&row)?;
-                }
+                    }
+                })
             }
             Partitioner::Block { .. } => {
-                let n = chunk.len();
                 // Near-equal contiguous blocks: the first `n % parts`
                 // blocks get one extra row.
-                let base = n / parts;
-                let extra = n % parts;
-                let mut start = 0;
-                for (b, bucket) in buckets.iter_mut().enumerate() {
-                    let len = base + usize::from(b < extra);
-                    for i in start..start + len {
-                        bucket.push_row(&chunk.row(i))?;
+                let n = ds.num_rows();
+                let (base, extra) = (n / parts, n % parts);
+                let long = extra * (base + 1);
+                gather(ds, parts, |_, _, row| {
+                    if row < long {
+                        row / (base + 1)
+                    } else {
+                        extra + (row - long) / base
                     }
-                    start += len;
-                }
+                })
             }
         }
-
-        Ok(buckets
-            .into_iter()
-            .map(|b| DataSet::new(schema.clone(), vec![Chunk::Rows(b)]))
-            .collect())
     }
 }
 
-/// Concatenate partition outputs back into one dataset, one chunk per
-/// non-empty partition, preserving partition order. The inverse of a
-/// split for bag semantics (row order follows partition order).
-pub fn merge_partitions(schema: bda_storage::Schema, parts: Vec<DataSet>) -> Result<DataSet> {
-    let mut out = DataSet::empty(schema);
-    for p in parts {
-        let chunk = p.to_rows_chunk()?;
-        if !chunk.is_empty() {
-            out.push_chunk(Chunk::Rows(chunk));
+/// Route every row of `ds` to a partition — `route(chunk, i, row)`
+/// sees the row's chunk, its index there, and its position in the
+/// whole dataset — and gather each partition's rows chunk by chunk,
+/// keeping input order.
+fn gather(
+    ds: &DataSet,
+    parts: usize,
+    mut route: impl FnMut(&RowsChunk, usize, usize) -> usize,
+) -> Result<Vec<DataSet>> {
+    let mut out: Vec<Vec<Chunk>> = vec![Vec::new(); parts];
+    let mut picks: Vec<Vec<usize>> = vec![Vec::new(); parts];
+    let mut row = 0usize;
+    for chunk in ds.chunks() {
+        let chunk = chunk.rows_view(ds.schema())?;
+        for i in 0..chunk.len() {
+            picks[route(&chunk, i, row)].push(i);
+            row += 1;
+        }
+        for (dst, rows) in out.iter_mut().zip(&mut picks) {
+            if !rows.is_empty() {
+                dst.push(Chunk::Rows(chunk.take(rows)));
+                rows.clear();
+            }
         }
     }
-    Ok(out)
+    Ok(out
+        .into_iter()
+        .map(|chunks| DataSet::new(ds.schema().clone(), chunks))
+        .collect())
+}
+
+/// Concatenate partition outputs back into one dataset, moving each
+/// partition's non-empty chunks over in partition order. The inverse of
+/// a split for bag semantics (row order follows partition order).
+///
+/// Chunks move without copying only out of a partition that holds the
+/// last handle on its chunk list. A partition still shared — such as the
+/// lone partition of a one-way split, which is the input itself — is
+/// cloned here.
+pub fn merge_partitions(schema: bda_storage::Schema, parts: Vec<DataSet>) -> Result<DataSet> {
+    let chunks = parts
+        .into_iter()
+        .flat_map(DataSet::into_chunks)
+        .filter(|c| !c.is_empty())
+        .collect();
+    Ok(DataSet::new(schema, chunks))
 }
 
 #[cfg(test)]
@@ -259,7 +284,7 @@ mod tests {
             let chunk = part.to_rows_chunk().unwrap();
             for i in 0..chunk.len() {
                 let row = chunk.row(i);
-                let expect = (hash_values(&[row.get(0)]) % 4) as usize;
+                let expect = (hash_values([row.get(0)]) % 4) as usize;
                 let actual = a.iter().position(|q| std::ptr::eq(q, part)).unwrap();
                 assert_eq!(actual, expect);
             }
@@ -377,6 +402,90 @@ mod tests {
         let b = p.split(&multi).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert!(x.same_bag(y).unwrap());
+        }
+    }
+
+    /// Rows with null keys, a dense chunk with an absent cell, an empty
+    /// chunk, then more rows — over a bounded dimension `i`.
+    fn mixed_layout() -> DataSet {
+        use bda_storage::chunk::rows_chunk_of;
+        use bda_storage::{Bitmap, Column, DenseChunk, DimBox};
+        let schema = Schema::new(vec![
+            Field::dimension_bounded("i", 0, 100),
+            Field::value("k", DataType::Int64),
+            Field::value("v", DataType::Float64),
+        ])
+        .unwrap();
+        let rows = |from: i64, keys: &[Option<i64>]| {
+            let rows: Vec<Vec<Value>> = keys
+                .iter()
+                .enumerate()
+                .map(|(j, k)| {
+                    let i = from + j as i64;
+                    vec![
+                        Value::Int(i),
+                        k.map_or(Value::Null, Value::Int),
+                        Value::Float(i as f64 / 4.0),
+                    ]
+                })
+                .collect();
+            Chunk::Rows(rows_chunk_of(&schema, &rows).unwrap())
+        };
+        let dense = DenseChunk::new(
+            DimBox::new(vec![10], vec![15]).unwrap(),
+            vec![
+                Column::from_values(
+                    DataType::Int64,
+                    &[
+                        Value::Int(3),
+                        Value::Null,
+                        Value::Int(1),
+                        Value::Int(2),
+                        Value::Int(9),
+                    ],
+                )
+                .unwrap(),
+                Column::from(vec![0.5f64, 1.5, -2.0, 7.0, 3.25]),
+            ],
+            Some(Bitmap::from_bools(&[true, true, false, true, true])),
+        )
+        .unwrap();
+        let mut ds = DataSet::empty(schema.clone());
+        ds.push_chunk(rows(0, &[Some(1), None, Some(2), None, Some(1), Some(4)]));
+        ds.push_chunk(Chunk::Dense(dense));
+        ds.push_chunk(Chunk::Rows(RowsChunk::empty(&schema)));
+        ds.push_chunk(rows(
+            20,
+            &[Some(2), Some(5), None, Some(1), Some(3), Some(3), Some(0)],
+        ));
+        ds
+    }
+
+    #[test]
+    fn multi_chunk_split_equals_split_of_the_concatenation_row_for_row() {
+        let multi = mixed_layout();
+        let single = multi.normalized_rows().unwrap();
+        for p in [
+            Partitioner::hash("k", 3),
+            Partitioner::hash_keys(&["k", "v"], 4),
+            Partitioner::range("v", 3),
+            Partitioner::block(4),
+            Partitioner::hash("k", 1),
+        ] {
+            let a = p.split(&multi).unwrap();
+            let b = p.split(&single).unwrap();
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.rows().unwrap(), y.rows().unwrap(), "{p:?}");
+            }
+            let merged = merge_partitions(multi.schema().clone(), a).unwrap();
+            let merged_single = merge_partitions(multi.schema().clone(), b).unwrap();
+            assert_eq!(
+                merged.rows().unwrap(),
+                merged_single.rows().unwrap(),
+                "{p:?}"
+            );
+            assert_eq!(merged.num_rows(), multi.num_rows());
         }
     }
 

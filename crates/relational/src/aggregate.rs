@@ -9,66 +9,75 @@ use bda_storage::{Chunk, Column, DataSet, Row, RowsChunk, Schema, Value};
 
 use crate::exec::Result;
 
-/// Grouped aggregation: group keys are hashed whole-row; aggregate
-/// arguments are evaluated column-at-a-time before grouping.
+/// Grouped aggregation, folded chunk at a time into one group table:
+/// aggregate arguments are evaluated column-at-a-time per chunk, and
+/// each row's key is assembled in a reused buffer that is cloned only
+/// when it opens a new group. Groups are emitted in first-appearance
+/// order.
 pub fn aggregate_exec(
     input: &DataSet,
     group_by: &[String],
     aggs: &[AggExpr],
     out_schema: Schema,
 ) -> Result<DataSet> {
-    let in_schema = input.schema().clone();
-    let chunk = input.to_rows_chunk()?;
-    let n = chunk.len();
-
-    let key_cols: Vec<&Column> = group_by
+    let in_schema = input.schema();
+    let key_idx: Vec<usize> = group_by
         .iter()
-        .map(|g| Ok(chunk.column(in_schema.index_of(g)?)))
+        .map(|g| in_schema.index_of(g))
         .collect::<std::result::Result<_, bda_storage::StorageError>>()?;
+    let arg_types = aggs
+        .iter()
+        .map(|a| match &a.arg {
+            Some(e) => infer_expr(e, in_schema),
+            None => Ok(None),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let new_accs = || -> Vec<Accumulator> {
+        aggs.iter()
+            .zip(&arg_types)
+            .map(|(a, t)| Accumulator::new(a.func, *t))
+            .collect()
+    };
 
-    // Evaluate aggregate arguments once, vectorized.
-    let mut arg_cols: Vec<Option<Column>> = Vec::with_capacity(aggs.len());
-    let mut arg_types = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        match &a.arg {
-            Some(e) => {
-                arg_types.push(infer_expr(e, &in_schema)?);
-                arg_cols.push(Some(eval_chunk(e, &in_schema, &chunk)?));
-            }
-            None => {
-                arg_types.push(None);
-                arg_cols.push(None);
-            }
-        }
-    }
-
-    let mut groups: HashMap<Row, Vec<Accumulator>> = HashMap::new();
-    let mut order: Vec<Row> = Vec::new();
-    for i in 0..n {
-        let key = Row(key_cols.iter().map(|c| c.get(i)).collect());
-        let accs = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            aggs.iter()
-                .zip(&arg_types)
-                .map(|(a, t)| Accumulator::new(a.func, *t))
-                .collect()
-        });
-        for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
-            let v = match arg {
-                Some(c) => c.get(i),
-                None => Value::Bool(true), // count(*) marker
+    // Groups (key and accumulators) in first-appearance order, and the
+    // key -> group lookup.
+    let mut groups: Vec<(Row, Vec<Accumulator>)> = Vec::new();
+    let mut lookup: HashMap<Row, usize> = HashMap::new();
+    let mut key = Row(Vec::with_capacity(key_idx.len()));
+    for chunk in input.chunks() {
+        let chunk = chunk.rows_view(in_schema)?;
+        let arg_cols = aggs
+            .iter()
+            .map(|a| {
+                a.arg
+                    .as_ref()
+                    .map(|e| eval_chunk(e, in_schema, &chunk))
+                    .transpose()
+            })
+            .collect::<Result<Vec<Option<Column>>>>()?;
+        for i in 0..chunk.len() {
+            key.0.clear();
+            key.0
+                .extend(key_idx.iter().map(|&k| chunk.column(k).get(i)));
+            let g = match lookup.get(&key) {
+                Some(&g) => g,
+                None => {
+                    lookup.insert(key.clone(), groups.len());
+                    groups.push((key.clone(), new_accs()));
+                    groups.len() - 1
+                }
             };
-            acc.update(&v)?;
+            for (acc, arg) in groups[g].1.iter_mut().zip(&arg_cols) {
+                let v = match arg {
+                    Some(c) => c.get(i),
+                    None => Value::Bool(true), // count(*) marker
+                };
+                acc.update(&v)?;
+            }
         }
     }
     if group_by.is_empty() && groups.is_empty() {
-        let accs: Vec<Accumulator> = aggs
-            .iter()
-            .zip(&arg_types)
-            .map(|(a, t)| Accumulator::new(a.func, *t))
-            .collect();
-        groups.insert(Row::new(), accs);
-        order.push(Row::new());
+        groups.push((Row::new(), new_accs()));
     }
 
     // Emit columns directly in output order.
@@ -77,8 +86,7 @@ pub fn aggregate_exec(
         .iter()
         .map(|f| Column::new_empty(f.dtype))
         .collect();
-    for key in &order {
-        let accs = &groups[key];
+    for (key, accs) in &groups {
         for (ci, v) in key.0.iter().enumerate() {
             cols[ci].push(v).map_err(CoreError::from)?;
         }
@@ -148,6 +156,79 @@ mod tests {
         let out = run(&["g"], vec![AggExpr::new(AggFunc::Avg, col("x"), "a")]);
         let rows = out.sorted_rows().unwrap();
         assert_eq!(rows[0].get(1), &Value::Float(8.0 / 3.0));
+    }
+
+    #[test]
+    fn multi_chunk_input_aggregates_like_its_concatenation() {
+        use bda_storage::chunk::rows_chunk_of;
+        use bda_storage::{Bitmap, DataType, DenseChunk, DimBox, Field};
+        let schema = Schema::new(vec![
+            Field::dimension_bounded("i", 0, 100),
+            Field::value("g", DataType::Utf8),
+            Field::value("x", DataType::Int64),
+        ])
+        .unwrap();
+        let rows = |from: i64, cells: &[(Option<&str>, Option<i64>)]| {
+            let rows: Vec<Vec<Value>> = cells
+                .iter()
+                .enumerate()
+                .map(|(j, (g, x))| {
+                    vec![
+                        Value::Int(from + j as i64),
+                        g.map_or(Value::Null, Value::from),
+                        x.map_or(Value::Null, Value::Int),
+                    ]
+                })
+                .collect();
+            Chunk::Rows(rows_chunk_of(&schema, &rows).unwrap())
+        };
+        let dense = DenseChunk::new(
+            DimBox::new(vec![10], vec![14]).unwrap(),
+            vec![
+                Column::from_values(
+                    DataType::Utf8,
+                    &[
+                        Value::from("b"),
+                        Value::Null,
+                        Value::from("c"),
+                        Value::from("a"),
+                    ],
+                )
+                .unwrap(),
+                Column::from(vec![5i64, 6, 7, 8]),
+            ],
+            Some(Bitmap::from_bools(&[true, true, false, true])),
+        )
+        .unwrap();
+        let mut multi = DataSet::empty(schema.clone());
+        multi.push_chunk(rows(
+            0,
+            &[(Some("a"), Some(1)), (None, Some(2)), (Some("b"), None)],
+        ));
+        multi.push_chunk(Chunk::Dense(dense));
+        multi.push_chunk(Chunk::Rows(RowsChunk::empty(&schema)));
+        multi.push_chunk(rows(
+            20,
+            &[(Some("c"), Some(3)), (Some("a"), Some(4)), (None, None)],
+        ));
+        let single = multi.normalized_rows().unwrap();
+        let aggs = vec![
+            AggExpr::new(AggFunc::Sum, col("x"), "s"),
+            AggExpr::new(AggFunc::Min, col("i"), "lo"),
+            AggExpr::count_star("n"),
+        ];
+        for group_by in [vec!["g"], vec!["g", "x"], vec![]] {
+            let plan = Plan::scan("t", schema.clone()).aggregate(group_by.clone(), aggs.clone());
+            let out_schema = infer_schema(&plan).unwrap();
+            let keys: Vec<String> = group_by.iter().map(|s| s.to_string()).collect();
+            let a = aggregate_exec(&multi, &keys, &aggs, out_schema.clone()).unwrap();
+            let b = aggregate_exec(&single, &keys, &aggs, out_schema).unwrap();
+            assert_eq!(
+                a.rows().unwrap(),
+                b.rows().unwrap(),
+                "group by {group_by:?}"
+            );
+        }
     }
 
     #[test]

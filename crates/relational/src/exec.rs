@@ -1,8 +1,13 @@
 //! Plan execution: dispatch and the simple columnar operators.
 //!
-//! Inputs are normalized to a single coordinate-list chunk, then each
-//! operator works on columns (masks, gathers, vectorized expression
-//! evaluation) rather than materialized rows.
+//! A scan hands out the stored table itself (its chunks are shared, not
+//! copied). The streaming operators — select, project, rename, tag/untag
+//! and dice — then work chunk at a time: each input chunk is viewed in
+//! coordinate-list layout (borrowed, or converted when dense) and yields
+//! at most one output chunk, with empty outputs dropped. Inside a chunk
+//! the work is columnar (masks, gathers, vectorized expression
+//! evaluation). Join, sort, distinct, union and limit still concatenate
+//! their inputs into one chunk first.
 
 use std::collections::BTreeMap;
 
@@ -80,26 +85,20 @@ fn execute_node(
                     return Ok(out);
                 }
             }
-            let in_schema = in_ds.schema().clone();
-            let chunk = in_ds.to_rows_chunk()?;
-            let mask_col = eval_chunk(predicate, &in_schema, &chunk)?;
-            let mask = truth_mask(&mask_col)?;
-            let filtered = chunk.filter(&mask);
-            Ok(DataSet::new(out_schema, vec![Chunk::Rows(filtered)]))
+            map_chunks(&in_ds, out_schema, |chunk| {
+                filter_chunk(predicate, in_ds.schema(), chunk)
+            })
         }
         Plan::Project { input, exprs } => {
             let in_ds = execute(input, tables, state)?;
-            let in_schema = in_ds.schema().clone();
-            let chunk = in_ds.to_rows_chunk()?;
-            let mut cols = Vec::with_capacity(exprs.len());
-            for (i, (_, e)) in exprs.iter().enumerate() {
-                let c = eval_chunk(e, &in_schema, &chunk)?;
-                cols.push(cast_to(c, out_schema.field_at(i).dtype));
-            }
-            Ok(DataSet::new(
-                out_schema,
-                vec![Chunk::Rows(RowsChunk::new(cols)?)],
-            ))
+            map_chunks(&in_ds, out_schema.clone(), |chunk| {
+                let mut cols = Vec::with_capacity(exprs.len());
+                for (i, (_, e)) in exprs.iter().enumerate() {
+                    let c = eval_chunk(e, in_ds.schema(), chunk)?;
+                    cols.push(cast_to(c, out_schema.field_at(i).dtype));
+                }
+                Ok(RowsChunk::new(cols)?)
+            })
         }
         Plan::Join {
             left,
@@ -152,36 +151,37 @@ fn execute_node(
         }
         Plan::Rename { input, .. } | Plan::UntagDims { input } => {
             let in_ds = execute(input, tables, state)?;
-            let chunk = in_ds.to_rows_chunk()?;
-            Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
+            relabel(&in_ds, out_schema)
         }
         Plan::TagDims { input, .. } => {
             let in_ds = execute(input, tables, state)?;
-            let chunk = in_ds.to_rows_chunk()?;
-            validate_dims(&out_schema, &chunk)?;
-            Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
+            let out = relabel(&in_ds, out_schema)?;
+            for chunk in out.chunks() {
+                validate_dims(out.schema(), &*chunk.rows_view(out.schema())?)?;
+            }
+            Ok(out)
         }
         Plan::Dice { input, ranges } => {
             let in_ds = execute(input, tables, state)?;
-            let in_schema = in_ds.schema().clone();
-            let chunk = in_ds.to_rows_chunk()?;
-            let mut mask = vec![true; chunk.len()];
-            for (d, lo, hi) in ranges {
-                let idx = in_schema.index_of(d)?;
-                let col = chunk.column(idx);
-                for (i, keep) in mask.iter_mut().enumerate() {
-                    if *keep {
-                        *keep = match col.get(i) {
-                            Value::Int(c) => c >= *lo && c < *hi,
-                            _ => false,
-                        };
+            let dims = ranges
+                .iter()
+                .map(|(d, lo, hi)| Ok((in_ds.schema().index_of(d)?, *lo, *hi)))
+                .collect::<std::result::Result<Vec<_>, bda_storage::StorageError>>()?;
+            map_chunks(&in_ds, out_schema, |chunk| {
+                let mut mask = vec![true; chunk.len()];
+                for &(idx, lo, hi) in &dims {
+                    let col = chunk.column(idx);
+                    for (i, keep) in mask.iter_mut().enumerate() {
+                        if *keep {
+                            *keep = match col.get(i) {
+                                Value::Int(c) => c >= lo && c < hi,
+                                _ => false,
+                            };
+                        }
                     }
                 }
-            }
-            Ok(DataSet::new(
-                out_schema,
-                vec![Chunk::Rows(chunk.filter(&mask))],
-            ))
+                Ok(chunk.filter(&mask))
+            })
         }
         // A bare Exchange is a planner marker with bag-identity
         // semantics: the partition routing happens inside the matching
@@ -271,10 +271,10 @@ fn pruned_select(
             continue;
         };
         positions.sort_unstable();
-        // Materialize only the chunks that hold a candidate position —
-        // the whole point of the index is to never touch the rest.
+        // Touch only the chunks that hold a candidate position — the
+        // whole point of the index is to never look at the rest.
         let candidate_count = positions.len();
-        let mut candidates = RowsChunk::empty(schema);
+        let mut out = Vec::new();
         let mut remaining = positions.iter().map(|&p| p as usize).peekable();
         let mut base = 0usize;
         for ch in in_ds.chunks() {
@@ -288,13 +288,11 @@ fn pruned_select(
                 remaining.next();
             }
             if !local.is_empty() {
-                candidates.extend(&ch.to_rows(schema)?.take(&local))?;
+                let candidates = ch.rows_view(schema)?.take(&local);
+                push_nonempty(&mut out, filter_chunk(predicate, schema, &candidates)?);
             }
             base = end;
         }
-        let mask_col = eval_chunk(predicate, schema, &candidates)?;
-        let mask = truth_mask(&mask_col)?;
-        let filtered = candidates.filter(&mask);
         bda_obs::prune::record_index_hit();
         prune_event(|| {
             format!(
@@ -304,10 +302,7 @@ fn pruned_select(
                 in_ds.num_rows()
             )
         });
-        return Ok(Some(DataSet::new(
-            out_schema.clone(),
-            vec![Chunk::Rows(filtered)],
-        )));
+        return Ok(Some(DataSet::new(out_schema.clone(), out)));
     }
 
     // Zone-map path: drop chunks where some conjunct cannot hold.
@@ -325,18 +320,54 @@ fn pruned_select(
     if pruned == 0 {
         return Ok(None);
     }
-    let mut kept = RowsChunk::empty(schema);
+    let mut out = Vec::new();
     for ci in survivors {
-        kept.extend(&in_ds.chunks()[ci].to_rows(schema)?)?;
+        let chunk = in_ds.chunks()[ci].rows_view(schema)?;
+        push_nonempty(&mut out, filter_chunk(predicate, schema, &chunk)?);
     }
-    let mask_col = eval_chunk(predicate, schema, &kept)?;
-    let mask = truth_mask(&mask_col)?;
-    let filtered = kept.filter(&mask);
     prune_event(|| format!("pruning: zone-map {dataset} chunks {pruned}/{considered}"));
-    Ok(Some(DataSet::new(
-        out_schema.clone(),
-        vec![Chunk::Rows(filtered)],
-    )))
+    Ok(Some(DataSet::new(out_schema.clone(), out)))
+}
+
+/// The rows of `chunk` where `predicate` is true.
+fn filter_chunk(
+    predicate: &bda_core::Expr,
+    schema: &Schema,
+    chunk: &RowsChunk,
+) -> Result<RowsChunk> {
+    let mask = truth_mask(&eval_chunk(predicate, schema, chunk)?)?;
+    Ok(chunk.filter(&mask))
+}
+
+fn push_nonempty(out: &mut Vec<Chunk>, chunk: RowsChunk) {
+    if !chunk.is_empty() {
+        out.push(Chunk::Rows(chunk));
+    }
+}
+
+/// Apply `f` to each input chunk's coordinate-list view, one output
+/// chunk per input chunk, dropping empty outputs.
+fn map_chunks(
+    in_ds: &DataSet,
+    out_schema: Schema,
+    mut f: impl FnMut(&RowsChunk) -> Result<RowsChunk>,
+) -> Result<DataSet> {
+    let mut out = Vec::with_capacity(in_ds.chunks().len());
+    for chunk in in_ds.chunks() {
+        push_nonempty(&mut out, f(&*chunk.rows_view(in_ds.schema())?)?);
+    }
+    Ok(DataSet::new(out_schema, out))
+}
+
+/// The input's rows under `out_schema`, which differs only in names or
+/// dimension roles. Coordinate-list chunks read the same under either
+/// schema, so an input made only of them is shared as is; dense chunks
+/// are laid out by the old schema's dimensions and are converted.
+fn relabel(in_ds: &DataSet, out_schema: Schema) -> Result<DataSet> {
+    if in_ds.chunks().iter().all(|c| matches!(c, Chunk::Rows(_))) {
+        return Ok(in_ds.relabel(out_schema));
+    }
+    map_chunks(in_ds, out_schema, |chunk| Ok(chunk.clone()))
 }
 
 /// Attach a pruning decision to the enclosing operator span (the

@@ -28,6 +28,10 @@ pub struct RelationalEngine {
     name: String,
     tables: RwLock<BTreeMap<String, DataSet>>,
     /// Load-time metadata per table (zone maps, table stats, indexes).
+    /// Changed only while `tables` is write-locked — or read-locked, for
+    /// an index build over the table as it stands — so a query, which
+    /// holds `tables` read-locked throughout, always sees a table
+    /// together with its own metadata.
     metas: RwLock<MetaMap>,
     /// Gates *use* of statistics at query time (metadata is always
     /// maintained, so flipping this is purely a planner/executor switch
@@ -57,23 +61,19 @@ impl RelationalEngine {
         self.stats_enabled.load(Ordering::Relaxed)
     }
 
-    /// Recompute one table's metadata and publish a fresh snapshot.
-    fn publish_meta(&self, name: &str, data: &DataSet, specs: &[IndexSpec]) -> Result<(), CoreError> {
-        let computed = Arc::new(TableMeta::compute(data, specs)?);
+    /// Publish a fresh metadata snapshot with `name`'s entry replaced
+    /// (`Some`) or dropped (`None`). Callers hold a `tables` lock.
+    fn swap_meta(&self, name: &str, meta: Option<TableMeta>) {
         let mut metas = self.metas.write();
-        let mut next = (**metas).clone();
-        next.insert(name.to_string(), computed);
-        *metas = Arc::new(next);
-        Ok(())
-    }
-
-    fn drop_meta(&self, name: &str) {
-        let mut metas = self.metas.write();
-        if metas.contains_key(name) {
-            let mut next = (**metas).clone();
-            next.remove(name);
-            *metas = Arc::new(next);
+        if meta.is_none() && !metas.contains_key(name) {
+            return;
         }
+        let mut next = (**metas).clone();
+        match meta {
+            Some(m) => next.insert(name.to_string(), Arc::new(m)),
+            None => next.remove(name),
+        };
+        *metas = Arc::new(next);
     }
 
     /// The capability set of every relational engine instance.
@@ -103,7 +103,9 @@ impl RelationalEngine {
         ])
     }
 
-    /// Look up a table (cloned snapshot).
+    /// Look up a table: the stored dataset itself, whose chunks the
+    /// returned handle shares (an O(1) clone; a later re-store replaces
+    /// the engine's copy and leaves this one as it was).
     pub fn table(&self, name: &str) -> Option<DataSet> {
         self.tables.read().get(name).cloned()
     }
@@ -150,21 +152,26 @@ impl Provider for RelationalEngine {
 
     fn store(&self, name: &str, data: DataSet) -> Result<(), CoreError> {
         // Load-time statistics: recompute the table's metadata on every
-        // store, carrying existing index specs across the re-store.
+        // store, carrying existing index specs across the re-store. The
+        // work happens outside the locks; the table and its metadata
+        // are then swapped together.
         let specs = self
             .metas
             .read()
             .get(name)
             .map(|m| m.specs())
             .unwrap_or_default();
-        self.publish_meta(name, &data, &specs)?;
-        self.tables.write().insert(name.to_string(), data);
+        let meta = TableMeta::compute(&data, &specs)?;
+        let mut tables = self.tables.write();
+        tables.insert(name.to_string(), data);
+        self.swap_meta(name, Some(meta));
         Ok(())
     }
 
     fn remove(&self, name: &str) {
-        self.tables.write().remove(name);
-        self.drop_meta(name);
+        let mut tables = self.tables.write();
+        tables.remove(name);
+        self.swap_meta(name, None);
     }
 
     fn table_stats(&self, name: &str) -> Option<TableStats> {
@@ -188,7 +195,10 @@ impl Provider for RelationalEngine {
             column: column.to_string(),
             kind,
         });
-        self.publish_meta(dataset, ds, &specs)
+        // Still holding `tables`, so the metadata is computed from, and
+        // published with, the table as it stands.
+        self.swap_meta(dataset, Some(TableMeta::compute(ds, &specs)?));
+        Ok(())
     }
 
     fn index_specs(&self, dataset: &str) -> Vec<IndexSpec> {
@@ -310,6 +320,89 @@ mod tests {
         e.build_index("t", "k", IndexKind::Hash).unwrap();
         let eq_plan = Plan::scan("t", e.schema_of("t").unwrap()).select(col("k").eq(lit(200i64)));
         assert_eq!(e.execute(&eq_plan).unwrap().num_rows(), 1);
+    }
+
+    #[test]
+    fn scan_hands_out_the_stored_buffers() {
+        let e = RelationalEngine::new("rel");
+        let ds = DataSet::from_columns(vec![("k", Column::from(vec![1i64, 2, 3]))]).unwrap();
+        let bda_storage::Chunk::Rows(r) = &ds.chunks()[0] else {
+            panic!("from_columns builds a rows chunk");
+        };
+        let stored = r.column(0).i64_data().unwrap().as_ptr();
+        e.store("t", ds).unwrap();
+        let out = e
+            .execute(&Plan::scan("t", e.schema_of("t").unwrap()))
+            .unwrap();
+        let bda_storage::Chunk::Rows(r) = &out.chunks()[0] else {
+            panic!("scan output changed layout");
+        };
+        assert_eq!(r.column(0).i64_data().unwrap().as_ptr(), stored);
+    }
+
+    /// A 4-chunk table of 1024-row chunks with `ts` in `start..start+4096`.
+    fn ts_table(start: i64) -> DataSet {
+        let chunk = |lo: i64| {
+            DataSet::from_columns(vec![
+                ("ts", Column::from((lo..lo + 1024).collect::<Vec<i64>>())),
+                ("v", Column::from(vec![1.0f64; 1024])),
+            ])
+            .unwrap()
+        };
+        let mut ds = chunk(start);
+        for c in 1..4 {
+            ds.push_chunk(chunk(start + c * 1024).chunks()[0].clone());
+        }
+        ds
+    }
+
+    #[test]
+    fn restore_under_concurrent_queries_keeps_rows_and_zone_maps_paired() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::{Duration, Instant};
+        let e = RelationalEngine::new("rel");
+        e.set_stats_enabled(true);
+        let tables = [ts_table(0), ts_table(4096)];
+        e.store("t", tables[0].clone()).unwrap();
+        let plan = Plan::scan("t", e.schema_of("t").unwrap())
+            .select(col("ts").ge(lit(2048i64)).and(col("ts").lt(lit(6144i64))));
+        let done = AtomicBool::new(false);
+        let answered = AtomicUsize::new(0);
+        let (restores, answers) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut answers = Vec::new();
+                while !done.load(Ordering::Relaxed) {
+                    answers.push(e.execute(&plan).unwrap().num_rows());
+                    answered.fetch_add(1, Ordering::Relaxed);
+                }
+                answers
+            });
+            // Keep re-storing until the reader has answered queries
+            // throughout, so queries overlap re-stores.
+            let start = Instant::now();
+            let mut restores = 0;
+            while (restores < 20 || answered.load(Ordering::Relaxed) < 20)
+                && start.elapsed() < Duration::from_secs(5)
+            {
+                restores += 1;
+                e.store("t", tables[restores % 2].clone()).unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+            (restores, reader.join().unwrap())
+        });
+        assert!(restores >= 20, "only {restores} re-stores");
+        assert!(
+            answers.len() >= 20,
+            "only {} queries answered",
+            answers.len()
+        );
+        let wrong = answers.iter().filter(|&&n| n != 2048).count();
+        assert_eq!(
+            wrong,
+            0,
+            "{wrong} of {} answers were not 2048 rows",
+            answers.len()
+        );
     }
 
     #[test]

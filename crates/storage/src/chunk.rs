@@ -1,5 +1,7 @@
 //! Chunks: the physical batches a dataset is made of.
 
+use std::borrow::Cow;
+
 use crate::column::Column;
 use crate::dense::DenseChunk;
 use crate::error::StorageError;
@@ -156,20 +158,21 @@ impl Chunk {
         self.len() == 0
     }
 
-    /// Convert to coordinate-list layout under the given schema.
+    /// View in coordinate-list layout under the given schema: borrowed
+    /// for a rows chunk, converted for a dense one.
     ///
     /// For dense chunks this enumerates present cells in row-major order,
     /// producing explicit dimension columns.
-    pub fn to_rows(&self, schema: &Schema) -> Result<RowsChunk> {
+    pub fn rows_view(&self, schema: &Schema) -> Result<Cow<'_, RowsChunk>> {
         match self {
-            Chunk::Rows(r) => Ok(r.clone()),
-            Chunk::Dense(d) => d.to_rows(schema),
+            Chunk::Rows(r) => Ok(Cow::Borrowed(r)),
+            Chunk::Dense(d) => d.to_rows(schema).map(Cow::Owned),
         }
     }
 
     /// Materialized rows (convenience for tests / reference evaluator).
     pub fn materialize(&self, schema: &Schema) -> Result<Vec<Row>> {
-        Ok(self.to_rows(schema)?.rows().collect())
+        Ok(self.rows_view(schema)?.rows().collect())
     }
 }
 

@@ -5,6 +5,13 @@
 //! client environment. There is not the awkwardness of cursors." `DataSet`
 //! is that collection: fully materialized, layout-flexible, directly
 //! iterable.
+//!
+//! The chunk list sits behind an [`Arc`], so cloning a dataset is O(1)
+//! and a scan hands out the stored table without copying it. The list
+//! is copy-on-write: [`DataSet::push_chunk`] on a shared dataset copies
+//! it first, so no clone ever sees another's appends.
+
+use std::sync::Arc;
 
 use crate::chunk::{Chunk, RowsChunk};
 use crate::column::Column;
@@ -17,25 +24,36 @@ use crate::value::Value;
 use crate::Result;
 
 /// A dataset: a dimension-tagged schema and the chunks that hold its data.
+/// Clones share the chunks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataSet {
     schema: Schema,
-    chunks: Vec<Chunk>,
+    chunks: Arc<Vec<Chunk>>,
 }
 
 impl DataSet {
     /// A dataset with no rows.
     pub fn empty(schema: Schema) -> DataSet {
-        DataSet {
-            schema,
-            chunks: Vec::new(),
-        }
+        DataSet::new(schema, Vec::new())
     }
 
     /// Assemble from parts (chunks are trusted to match the schema; the
     /// conversion methods re-validate on access).
     pub fn new(schema: Schema, chunks: Vec<Chunk>) -> DataSet {
-        DataSet { schema, chunks }
+        DataSet {
+            schema,
+            chunks: Arc::new(chunks),
+        }
+    }
+
+    /// The same chunks under another schema, shared rather than copied.
+    /// The caller vouches that `schema` reads the chunks the same way
+    /// (e.g. a rename, or a re-tag of coordinate-list chunks).
+    pub fn relabel(&self, schema: Schema) -> DataSet {
+        DataSet {
+            schema,
+            chunks: Arc::clone(&self.chunks),
+        }
     }
 
     /// Build from materialized rows, validating types against the schema.
@@ -44,10 +62,7 @@ impl DataSet {
         for r in rows {
             chunk.push_row(r)?;
         }
-        Ok(DataSet {
-            schema,
-            chunks: vec![Chunk::Rows(chunk)],
-        })
+        Ok(DataSet::new(schema, vec![Chunk::Rows(chunk)]))
     }
 
     /// Build a relation (no dimensions) from named columns.
@@ -59,10 +74,7 @@ impl DataSet {
                 .collect(),
         )?;
         let chunk = RowsChunk::new(fields.into_iter().map(|(_, c)| c).collect())?;
-        Ok(DataSet {
-            schema,
-            chunks: vec![Chunk::Rows(chunk)],
-        })
+        Ok(DataSet::new(schema, vec![Chunk::Rows(chunk)]))
     }
 
     /// The schema.
@@ -75,9 +87,14 @@ impl DataSet {
         &self.chunks
     }
 
-    /// Append a chunk.
+    /// Consume into the chunk list, moving it out when unshared.
+    pub fn into_chunks(self) -> Vec<Chunk> {
+        Arc::try_unwrap(self.chunks).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// Append a chunk (copies the chunk list first if it is shared).
     pub fn push_chunk(&mut self, chunk: Chunk) {
-        self.chunks.push(chunk);
+        Arc::make_mut(&mut self.chunks).push(chunk);
     }
 
     /// Total number of logical rows/cells.
@@ -93,7 +110,7 @@ impl DataSet {
     /// Materialize every row (dense chunks are exploded to coordinate rows).
     pub fn rows(&self) -> Result<Vec<Row>> {
         let mut out = Vec::with_capacity(self.num_rows());
-        for c in &self.chunks {
+        for c in self.chunks.iter() {
             out.extend(c.materialize(&self.schema)?);
         }
         Ok(out)
@@ -102,18 +119,18 @@ impl DataSet {
     /// Collapse all chunks into a single coordinate-list chunk.
     pub fn to_rows_chunk(&self) -> Result<RowsChunk> {
         let mut acc = RowsChunk::empty(&self.schema);
-        for c in &self.chunks {
-            acc.extend(&c.to_rows(&self.schema)?)?;
+        for c in self.chunks.iter() {
+            acc.extend(&*c.rows_view(&self.schema)?)?;
         }
         Ok(acc)
     }
 
     /// A dataset identical to `self` but in a single coordinate-list chunk.
     pub fn normalized_rows(&self) -> Result<DataSet> {
-        Ok(DataSet {
-            schema: self.schema.clone(),
-            chunks: vec![Chunk::Rows(self.to_rows_chunk()?)],
-        })
+        Ok(DataSet::new(
+            self.schema.clone(),
+            vec![Chunk::Rows(self.to_rows_chunk()?)],
+        ))
     }
 
     /// Densify into a single dense chunk covering the schema's dimension
@@ -122,10 +139,7 @@ impl DataSet {
         let bounds = self.bounding_box()?;
         let rows = self.to_rows_chunk()?;
         let dense = DenseChunk::from_rows(&self.schema, &rows, bounds)?;
-        Ok(DataSet {
-            schema: self.schema.clone(),
-            chunks: vec![Chunk::Dense(dense)],
-        })
+        Ok(DataSet::new(self.schema.clone(), vec![Chunk::Dense(dense)]))
     }
 
     /// Densify into a **grid** of dense chunks with side length
@@ -201,10 +215,7 @@ impl DataSet {
                 tile_box,
             )?));
         }
-        Ok(DataSet {
-            schema: self.schema.clone(),
-            chunks,
-        })
+        Ok(DataSet::new(self.schema.clone(), chunks))
     }
 
     /// The box spanned by the schema's (bounded) dimension extents.
@@ -235,8 +246,8 @@ impl DataSet {
     pub fn collect_column(&self, name: &str) -> Result<Column> {
         let idx = self.schema.index_of(name)?;
         let mut acc = Column::new_empty(self.schema.field_at(idx).dtype);
-        for c in &self.chunks {
-            acc.extend(c.to_rows(&self.schema)?.column(idx))?;
+        for c in self.chunks.iter() {
+            acc.extend(c.rows_view(&self.schema)?.column(idx))?;
         }
         Ok(acc)
     }
@@ -262,7 +273,7 @@ impl DataSet {
     /// planning (8 bytes per numeric slot, string lengths, bitmap words).
     pub fn estimated_bytes(&self) -> usize {
         let mut total = 0usize;
-        for c in &self.chunks {
+        for c in self.chunks.iter() {
             total += match c {
                 Chunk::Rows(r) => r.columns().iter().map(column_bytes).sum::<usize>(),
                 Chunk::Dense(d) => {
@@ -439,6 +450,20 @@ mod tests {
         ds.push_chunk(extra.chunks()[0].clone());
         let col = ds.collect_column("k").unwrap();
         assert_eq!(col.len(), 6);
+    }
+
+    #[test]
+    fn clone_shares_chunks_and_push_copies_on_write() {
+        let a = rel();
+        let mut b = a.clone();
+        assert!(std::ptr::eq(a.chunks().as_ptr(), b.chunks().as_ptr()));
+        b.push_chunk(a.chunks()[0].clone());
+        assert_eq!((a.chunks().len(), b.chunks().len()), (1, 2));
+        let relabeled = a.relabel(a.schema().clone());
+        assert!(std::ptr::eq(
+            a.chunks().as_ptr(),
+            relabeled.chunks().as_ptr()
+        ));
     }
 
     #[test]

@@ -227,6 +227,33 @@ impl ZoneBuilder {
         }
     }
 
+    /// Fold another builder in, as if its values had been observed
+    /// after this builder's: counts add, min/max keep the earlier value
+    /// on `total_cmp` ties, and the KMV sketch merge is exact.
+    pub fn merge(&mut self, other: &ZoneBuilder) {
+        self.len += other.len;
+        self.null_count += other.null_count;
+        if let Some(v) = &other.min {
+            if self
+                .min
+                .as_ref()
+                .is_none_or(|m| m.total_cmp(v) == Ordering::Greater)
+            {
+                self.min = Some(v.clone());
+            }
+        }
+        if let Some(v) = &other.max {
+            if self
+                .max
+                .as_ref()
+                .is_none_or(|m| m.total_cmp(v) == Ordering::Less)
+            {
+                self.max = Some(v.clone());
+            }
+        }
+        self.sketch.merge(&other.sketch);
+    }
+
     /// Finish into the zone map and the sketch that fed its distinct
     /// estimate (callers merging across chunks keep the sketch).
     pub fn finish(self) -> (ZoneMap, NdvSketch) {
@@ -282,20 +309,46 @@ impl TableStats {
         let mut builders: Vec<ZoneBuilder> =
             (0..schema.len()).map(|_| ZoneBuilder::new()).collect();
         for chunk in ds.chunks() {
-            let rows = chunk.to_rows(schema)?;
+            let rows = chunk.rows_view(schema)?;
             for (b, col) in builders.iter_mut().zip(rows.columns()) {
                 b.observe_column(col);
             }
         }
-        Ok(TableStats {
+        Ok(TableStats::finish(ds, builders))
+    }
+
+    /// The table statistics together with one [`ChunkStats`] per chunk,
+    /// observing every value once: each chunk's builders are merged into
+    /// the table's, which yields exactly [`TableStats::of`].
+    pub fn with_chunk_stats(ds: &DataSet) -> Result<(TableStats, Vec<ChunkStats>)> {
+        let schema = ds.schema();
+        let mut table: Vec<ZoneBuilder> = (0..schema.len()).map(|_| ZoneBuilder::new()).collect();
+        let mut chunks = Vec::with_capacity(ds.chunks().len());
+        for chunk in ds.chunks() {
+            let rows = chunk.rows_view(schema)?;
+            let mut columns = Vec::with_capacity(rows.columns().len());
+            for (t, col) in table.iter_mut().zip(rows.columns()) {
+                let mut b = ZoneBuilder::new();
+                b.observe_column(col);
+                t.merge(&b);
+                columns.push(b.finish().0);
+            }
+            chunks.push(ChunkStats { columns });
+        }
+        Ok((TableStats::finish(ds, table), chunks))
+    }
+
+    fn finish(ds: &DataSet, builders: Vec<ZoneBuilder>) -> TableStats {
+        TableStats {
             row_count: ds.num_rows(),
-            columns: schema
+            columns: ds
+                .schema()
                 .fields()
                 .iter()
                 .zip(builders)
                 .map(|(f, b)| (f.name.clone(), b.finish().0))
                 .collect(),
-        })
+        }
     }
 
     /// The merged zone map for a named column.
@@ -469,6 +522,91 @@ mod tests {
         assert_eq!(v.max, Some(Value::Float(3.0)));
         assert_eq!(v.null_count, 2);
         assert!(stats.column("missing").is_none());
+    }
+
+    fn same_zone(a: &ZoneMap, b: &ZoneMap) -> bool {
+        let same = |x: &Option<Value>, y: &Option<Value>| match (x, y) {
+            (Some(x), Some(y)) => x.total_cmp(y) == Ordering::Equal,
+            (x, y) => x.is_none() && y.is_none(),
+        };
+        same(&a.min, &b.min)
+            && same(&a.max, &b.max)
+            && (a.null_count, a.len, a.distinct) == (b.null_count, b.len, b.distinct)
+    }
+
+    #[test]
+    fn chunk_merged_table_stats_equal_a_direct_pass() {
+        use crate::bitmap::Bitmap;
+        use crate::chunk::{rows_chunk_of, Chunk};
+        use crate::dense::{DenseChunk, DimBox};
+        use crate::schema::{Field, Schema};
+
+        let schema = Schema::new(vec![
+            Field::dimension_bounded("i", 0, 1000),
+            Field::value("v", DataType::Float64),
+            Field::value("s", DataType::Utf8),
+        ])
+        .unwrap();
+        let f = Value::Float;
+        let mut ds = DataSet::empty(schema.clone());
+        // Nulls, NaN and both zeros, then an empty chunk.
+        ds.push_chunk(Chunk::Rows(
+            rows_chunk_of(
+                &schema,
+                &[
+                    vec![Value::Int(0), f(0.0), Value::Null],
+                    vec![Value::Int(1), Value::Null, Value::from("b")],
+                    vec![Value::Int(2), f(f64::NAN), Value::from("a")],
+                    vec![Value::Int(3), f(-0.0), Value::from("c")],
+                ],
+            )
+            .unwrap(),
+        ));
+        ds.push_chunk(Chunk::Rows(RowsChunk::empty(&schema)));
+        // A dense chunk with absent cells.
+        let present = Bitmap::from_bools(&[true, false, true, true]);
+        let dense = DenseChunk::new(
+            DimBox::new(vec![10], vec![14]).unwrap(),
+            vec![
+                Column::from(vec![-0.0f64, 7.0, f64::NAN, 2.5]),
+                Column::from(vec!["z", "y", "x", "w"]),
+            ],
+            Some(present),
+        )
+        .unwrap();
+        ds.push_chunk(Chunk::Dense(dense));
+        // Enough distinct values to overflow the sketch capacity.
+        let wide: Vec<Vec<Value>> = (0..300)
+            .map(|k| {
+                vec![
+                    Value::Int(100 + k),
+                    f(k as f64 * 0.25 - 10.0),
+                    Value::from(format!("s{}", k % 97).as_str()),
+                ]
+            })
+            .collect();
+        ds.push_chunk(Chunk::Rows(rows_chunk_of(&schema, &wide).unwrap()));
+
+        let (merged, chunks) = TableStats::with_chunk_stats(&ds).unwrap();
+        let direct = TableStats::of(&ds).unwrap();
+        assert_eq!(merged.row_count, direct.row_count);
+        assert_eq!(merged.columns.len(), direct.columns.len());
+        for ((n, m), (dn, d)) in merged.columns.iter().zip(&direct.columns) {
+            assert_eq!(n, dn);
+            assert!(same_zone(m, d), "{n}: merged {m:?} vs direct {d:?}");
+        }
+        assert!(
+            direct.column("i").unwrap().distinct > KMV_K,
+            "sketch overflowed"
+        );
+        assert_eq!(chunks.len(), ds.chunks().len());
+        for (cs, chunk) in chunks.iter().zip(ds.chunks()) {
+            let view = ChunkStats::of(&chunk.rows_view(&schema).unwrap());
+            assert_eq!(cs.columns.len(), view.columns.len());
+            for (a, b) in cs.columns.iter().zip(&view.columns) {
+                assert!(same_zone(a, b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

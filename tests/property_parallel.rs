@@ -45,8 +45,21 @@ prop_compose! {
 }
 
 prop_compose! {
-    fn arb_table()(rows in prop::collection::vec(arb_row(), 0..25)) -> DataSet {
-        DataSet::from_rows(t_schema(), &rows).unwrap()
+    /// Up to 24 rows split into 1–4 chunks at random boundaries; equal
+    /// or end boundaries leave empty chunks.
+    fn arb_table()(
+        rows in prop::collection::vec(arb_row(), 0..25),
+        cuts in prop::collection::vec(any::<usize>(), 0..4),
+    ) -> DataSet {
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (rows.len() + 1)).collect();
+        bounds.sort_unstable();
+        bounds.insert(0, 0);
+        bounds.push(rows.len());
+        let chunks = bounds
+            .windows(2)
+            .flat_map(|w| DataSet::from_rows(t_schema(), &rows[w[0]..w[1]]).unwrap().into_chunks())
+            .collect();
+        DataSet::new(t_schema(), chunks)
     }
 }
 
