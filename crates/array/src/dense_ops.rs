@@ -721,6 +721,46 @@ mod tests {
         assert!(ours.same_bag(&oracle).unwrap());
     }
 
+    /// The f64 cells of a one-chunk dense result, as bit patterns.
+    fn dense_bits(ds: &DataSet) -> Vec<u64> {
+        match ds.chunks() {
+            [Chunk::Dense(d)] => d.columns()[0]
+                .f64_data()
+                .unwrap()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect(),
+            other => panic!("expected one dense chunk, got {} chunks", other.len()),
+        }
+    }
+
+    #[test]
+    fn partitioned_elemwise_under_four_workers_equals_one_worker() {
+        let m = matrix_dataset(5, 7, (0..35).map(|i| i as f64 * 0.37 - 4.0).collect()).unwrap();
+        for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
+            let plan = Plan::scan("m", m.schema().clone())
+                .elemwise(op, Plan::scan("m", m.schema().clone()));
+            let schema = infer_schema(&plan).unwrap();
+            let sequential = elemwise_dense(op, &m, &m, schema.clone()).unwrap();
+            // 64 bands exceed the 35 cells and are clamped to one per cell.
+            for parts in [2, 4, 35, 64] {
+                let run = |workers| {
+                    bda_core::pool::with_workers(workers, || {
+                        elemwise_dense_partitioned(op, &m, &m, parts, schema.clone())
+                    })
+                    .unwrap()
+                };
+                let (one, four) = (run(1), run(4));
+                assert_eq!(
+                    dense_bits(&one),
+                    dense_bits(&sequential),
+                    "{op:?} parts={parts}"
+                );
+                assert_eq!(dense_bits(&four), dense_bits(&one), "{op:?} parts={parts}");
+            }
+        }
+    }
+
     #[test]
     fn window_matches_reference() {
         let m = m44();

@@ -163,9 +163,7 @@ fn execute_node(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataS
         Plan::Union { left, right } => {
             let l = execute(left, arrays)?;
             let r = execute(right, arrays)?;
-            let mut chunk = l.to_rows_chunk()?;
-            chunk.extend(&r.to_rows_chunk()?)?;
-            Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
+            Ok(l.concat(r, out_schema))
         }
         Plan::Distinct { input } => {
             let in_ds = execute(input, arrays)?;
@@ -182,21 +180,7 @@ fn execute_node(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataS
                 vec![Chunk::Rows(chunk.take(&keep))],
             ))
         }
-        Plan::Limit { input, skip, fetch } => {
-            let in_ds = execute(input, arrays)?;
-            let chunk = in_ds.to_rows_chunk()?;
-            let n = chunk.len();
-            let start = (*skip).min(n);
-            let end = match fetch {
-                Some(f) => (start + f).min(n),
-                None => n,
-            };
-            let idx: Vec<usize> = (start..end).collect();
-            Ok(DataSet::new(
-                out_schema,
-                vec![Chunk::Rows(chunk.take(&idx))],
-            ))
-        }
+        Plan::Limit { input, skip, fetch } => Ok(execute(input, arrays)?.limit(*skip, *fetch)?),
         Plan::Rename { input, .. } | Plan::UntagDims { input } | Plan::TagDims { input, .. } => {
             let in_ds = execute(input, arrays)?;
             let chunk = in_ds.to_rows_chunk()?;

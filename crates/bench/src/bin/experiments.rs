@@ -4,7 +4,10 @@
 //! cargo run -p bda-bench --release --bin experiments            # all
 //! cargo run -p bda-bench --release --bin experiments -- f1 f4   # subset
 //! cargo run -p bda-bench --release --bin experiments -- --quick # small sizes
+//! BDA_FAULT_SEED=7 cargo run -p bda-bench --release --bin experiments -- f6
 //! ```
+//!
+//! `BDA_FAULT_SEED` picks F6's fault stream (default `0xBDA`).
 
 use bda_bench::experiments::*;
 use bda_bench::setup::{standard_federation, FederationSpec};
@@ -75,7 +78,11 @@ fn main() {
     }
     if want("f6") {
         let sizes: &[usize] = if quick { &[8] } else { &[8, 16, 32] };
-        println!("{}", f6_fault_recovery(sizes));
+        let seed = std::env::var("BDA_FAULT_SEED")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(0xBDA);
+        println!("{}", f6_fault_recovery(sizes, seed));
     }
     if want("f7") {
         let sizes: &[usize] = if quick { &[8, 16] } else { &[16, 64, 128] };

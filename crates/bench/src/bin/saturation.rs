@@ -3,10 +3,13 @@
 //! baseline and a deliberate overload phase proving the shed-not-hang
 //! contract.
 //!
-//! Four phases (all client-side measured with `bda_obs::Histogram`, so
+//! Five phases (all client-side measured with `bda_obs::Histogram`, so
 //! the reported p50/p99/p999 use the same bucket math as the server):
 //!
 //! * `baseline_threads` — the classic `serve()` core, 64 connections.
+//! * `reactor_64` — `serve_reactor` under exactly the baseline's load
+//!   (same connections, client threads and rounds), so the two serving
+//!   cores are compared at equal load.
 //! * `reactor_1k` — `serve_reactor` with ~1k open connections, every
 //!   round writing one request on *each* connection before reading any
 //!   reply, so admission really sees ~1k in-flight requests. Must
@@ -387,6 +390,14 @@ fn main() {
             roomy,
         )
         .unwrap();
+        phases.push(closed_loop(
+            "reactor_64",
+            &reactor.addr().to_string(),
+            64.min(conns),
+            threads,
+            rounds * 2,
+            &plan,
+        ));
         phases.push(closed_loop(
             "reactor_1k",
             &reactor.addr().to_string(),

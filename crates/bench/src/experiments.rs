@@ -619,13 +619,12 @@ pub fn f5_pushdown(selectivities: &[f64]) -> Table {
 /// must fail over to a replica) and the relational server fails
 /// transiently at p = 0.3 (recovery must retry). The answer is checked
 /// against the reference evaluator; the same faults with recovery
-/// disabled abort the plan. Seeded via `BDA_FAULT_SEED`.
-pub fn f6_fault_recovery(sizes: &[usize]) -> Table {
+/// disabled abort the plan. `seed` drives the fault stream.
+pub fn f6_fault_recovery(sizes: &[usize], seed: u64) -> Table {
     use bda_core::reference::evaluate;
-    use bda_federation::{fault_seed_from_env, FaultConfig, FaultyProvider, RecoveryPolicy};
+    use bda_federation::{FaultConfig, FaultyProvider, RecoveryPolicy};
     use bda_storage::{Column, DataSet};
 
-    let seed = fault_seed_from_env(0xBDA);
     let mut t = Table::new(
         "F6 — fault recovery: retry + failover under injected faults (seeded)",
         vec![
@@ -1059,7 +1058,7 @@ mod tests {
 
     #[test]
     fn f6_recovers_verifies_and_contrasts() {
-        let t = f6_fault_recovery(&[8]);
+        let t = f6_fault_recovery(&[8], 0xBDA);
         let row = &t.rows[0];
         let retries: usize = row[2].parse().unwrap();
         let failovers: usize = row[3].parse().unwrap();

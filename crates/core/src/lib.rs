@@ -53,7 +53,6 @@ pub use infer::infer_schema;
 pub use partition::Partitioner;
 pub use plan::{GraphOp, JoinType, OpKind, Plan};
 pub use provider::{CapabilitySet, Provider, ReferenceProvider};
-pub use pruning::{stats_from_env, STATS_ENV};
 
 /// Crate-wide result alias.
 pub type Result<T, E = CoreError> = std::result::Result<T, E>;

@@ -6,17 +6,13 @@
 //! first. That ordering guarantee is what lets partitioned kernels
 //! produce byte-identical output no matter how many workers ran.
 //!
-//! Worker count resolution, in priority order:
-//!
-//! 1. a thread-local override installed with [`with_workers`] (the
-//!    federation executor uses this so every provider call inside a
-//!    query sees the query's `ExecOptions::workers`),
-//! 2. the `BDA_WORKERS` environment variable,
-//! 3. `1` (fully sequential; the pool runs closures inline).
+//! The worker count is a thread-local override installed with
+//! [`with_workers`] (the federation executor uses this so every provider
+//! call inside a query sees the query's `ExecOptions::workers`), else `1`
+//! (fully sequential; the pool runs closures inline).
 
 use std::cell::Cell;
 use std::sync::Mutex;
-use std::sync::OnceLock;
 
 use crossbeam::channel;
 
@@ -24,33 +20,17 @@ thread_local! {
     static WORKER_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Parse `BDA_WORKERS` once per process. Unset, empty, unparsable, or
-/// zero values all fall back to 1 worker (sequential).
-pub fn workers_from_env() -> usize {
-    static ENV_WORKERS: OnceLock<usize> = OnceLock::new();
-    *ENV_WORKERS.get_or_init(|| {
-        std::env::var("BDA_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
-}
-
 /// The worker count in effect on this thread: the [`with_workers`]
-/// override if one is installed, otherwise the `BDA_WORKERS` default.
+/// override if one is installed, otherwise 1.
 pub fn workers() -> usize {
-    WORKER_OVERRIDE
-        .with(|c| c.get())
-        .unwrap_or_else(workers_from_env)
+    WORKER_OVERRIDE.with(|c| c.get()).unwrap_or(1)
 }
 
 /// Run `f` with the worker count pinned to `n` on this thread.
 ///
 /// The override is scoped: it is restored on exit even if `f` panics.
-/// Tests and the executor use this instead of mutating the environment
-/// so concurrently running queries with different worker counts never
-/// race.
+/// The override is per thread, so concurrently running queries with
+/// different worker counts never race.
 pub fn with_workers<T>(n: usize, f: impl FnOnce() -> T) -> T {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -162,13 +142,13 @@ mod tests {
 
     #[test]
     fn override_is_scoped_and_nested() {
-        assert_eq!(workers(), workers_from_env());
+        assert_eq!(workers(), 1);
         with_workers(4, || {
             assert_eq!(workers(), 4);
             with_workers(2, || assert_eq!(workers(), 2));
             assert_eq!(workers(), 4);
         });
-        assert_eq!(workers(), workers_from_env());
+        assert_eq!(workers(), 1);
     }
 
     #[test]

@@ -23,23 +23,6 @@ use bda_storage::{Schema, Value};
 
 use crate::expr::{BinOp, Expr, UnOp};
 
-/// Environment variable gating the statistics layer. Statistics are on
-/// by default; set to `0`, `false`, or `off` to bypass zone-map
-/// pruning, index lowering, and stats-driven planning everywhere (the
-/// differential harness and the F11 ablation flip exactly this switch).
-pub const STATS_ENV: &str = "BDA_STATS";
-
-/// Read [`STATS_ENV`]: `true` unless explicitly disabled.
-pub fn stats_from_env() -> bool {
-    match std::env::var(STATS_ENV) {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "false" || v == "off")
-        }
-        Err(_) => true,
-    }
-}
-
 /// One conjunct, reduced to a form zone maps can answer.
 #[derive(Debug, Clone)]
 pub enum Test {

@@ -3,8 +3,8 @@
 //! The chaos suite already injects transport faults
 //! (`bda_net::serve_with_faults`) and provider faults
 //! (`bda_federation::fault`); this module adds the *disk* failure modes
-//! recovery must survive, keyed off the same `BDA_FAULT_SEED`
-//! convention so a failing CI run replays bit-for-bit:
+//! recovery must survive, keyed off a seed like the other two so a
+//! failing run replays bit-for-bit:
 //!
 //! * **Torn tail** — a crash mid-append leaves the final WAL record half
 //!   written. Injected by writing only the first half of one record's

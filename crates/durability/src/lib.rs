@@ -20,8 +20,8 @@
 //! * **Change streams** ([`changes`]): `subscribe(dataset)` yields
 //!   committed deltas in WAL order, published at commit points.
 //! * **Disk-fault injection** ([`faults`]): torn appends, ENOSPC-style
-//!   refusals, and truncated snapshots, deterministic under
-//!   `BDA_FAULT_SEED`, so the chaos suite can exercise all of the above.
+//!   refusals, and truncated snapshots, deterministic per seed, so the
+//!   chaos suite can exercise all of the above.
 //!
 //! Only real catalog entries are durable: names under the federation's
 //! staged-fragment prefix are query scratch space, excluded from log

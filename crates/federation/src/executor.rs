@@ -122,24 +122,13 @@ pub struct ExecOptions {
     /// plans carry no `Exchange`/`Merge` markers; with `n > 1`
     /// independent fragments dispatch onto up to `n` threads and capable
     /// providers run their hot operators over `n` partitions. Defaults
-    /// to the `BDA_WORKERS` environment variable (falling back to 1).
+    /// to 1.
     pub workers: usize,
     /// Consult the process-global [`bda_obs::profile::CostBook`] of
     /// measured costs during planning (site assignment and
     /// partition-count choices). Off by default — disabled calibration
-    /// produces plans byte-identical to the static planner. Defaults to
-    /// the `BDA_CALIBRATE` environment variable (`1`/`true`/`on`).
+    /// produces plans byte-identical to the static planner.
     pub calibrate: bool,
-}
-
-/// Environment variable enabling measured-cost calibration by default.
-pub const CALIBRATE_ENV: &str = "BDA_CALIBRATE";
-
-fn calibrate_from_env() -> bool {
-    matches!(
-        std::env::var(CALIBRATE_ENV).ok().as_deref().map(str::trim),
-        Some("1") | Some("true") | Some("on")
-    )
 }
 
 impl Default for ExecOptions {
@@ -149,8 +138,8 @@ impl Default for ExecOptions {
             optimizer: OptimizerConfig::default(),
             net: NetConfig::default(),
             recovery: RecoveryPolicy::default(),
-            workers: pool::workers_from_env(),
-            calibrate: calibrate_from_env(),
+            workers: 1,
+            calibrate: false,
         }
     }
 }
@@ -921,16 +910,18 @@ fn leave_query(
     }
 }
 
-/// A unique-enough dump-file tag: the trace id when tracing, else a
-/// process-wide failure counter.
+/// A unique-enough dump-file tag: the process id, then the trace id
+/// when tracing, else a process-wide failure counter. The process id
+/// keeps two processes dumping into one directory (seeded trace ids and
+/// counters both repeat across processes) from overwriting each other.
 fn dump_tag(tracer: &Tracer) -> String {
     use std::sync::atomic::{AtomicU64, Ordering};
     static FAILURES: AtomicU64 = AtomicU64::new(0);
-    let n = FAILURES.fetch_add(1, Ordering::Relaxed);
+    let pid = std::process::id();
     if tracer.is_enabled() {
-        format!("{:016x}", tracer.trace_id())
+        format!("p{pid}-{:016x}", tracer.trace_id())
     } else {
-        format!("q{n}")
+        format!("p{pid}-q{}", FAILURES.fetch_add(1, Ordering::Relaxed))
     }
 }
 
@@ -1766,6 +1757,31 @@ mod tests {
             entry.fragments_done.iter().all(|f| f.id != failed),
             "fragment {failed} failed but is listed done: {:?}",
             entry.fragments_done
+        );
+    }
+
+    #[test]
+    fn defaults_are_stats_on_one_worker_calibration_off() {
+        let opts = ExecOptions::default();
+        assert_eq!(opts.workers, 1);
+        assert!(!opts.calibrate);
+        assert!(opts.optimizer.use_stats);
+        assert_eq!(pool::workers(), 1);
+        assert!(RelationalEngine::new("rel").stats_enabled());
+    }
+
+    #[test]
+    fn dump_tags_carry_the_process_id() {
+        let pid = format!("p{}-", std::process::id());
+        let untraced = [dump_tag(&Tracer::disabled()), dump_tag(&Tracer::disabled())];
+        for tag in &untraced {
+            assert!(tag.starts_with(&pid), "{tag}");
+        }
+        assert_ne!(untraced[0], untraced[1], "untraced failures share a tag");
+        let traced = Tracer::new(7);
+        assert_eq!(
+            dump_tag(&traced),
+            format!("{pid}{:016x}", traced.trace_id())
         );
     }
 }

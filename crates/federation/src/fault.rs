@@ -28,25 +28,6 @@ pub type Result<T> = std::result::Result<T, CoreError>;
 // one module, all keyed off the same seed.
 pub use bda_durability::DiskFaults;
 
-/// Environment variable the chaos CI job sets to sweep fault seeds.
-pub const FAULT_SEED_ENV: &str = "BDA_FAULT_SEED";
-
-/// The seed to drive fault injection with: `BDA_FAULT_SEED` when set (and
-/// parseable as `u64`), otherwise `default`.
-pub fn fault_seed_from_env(default: u64) -> u64 {
-    std::env::var(FAULT_SEED_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-/// The disk-fault plan for the current chaos seed: `BDA_FAULT_SEED`
-/// (else `default`) picks deterministically among the three disk
-/// failure modes via [`DiskFaults::plan_from_seed`].
-pub fn disk_faults_from_env(default: u64) -> DiskFaults {
-    DiskFaults::plan_from_seed(fault_seed_from_env(default))
-}
-
 /// What to inject, and how often.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
@@ -321,12 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_fault_plan_is_seed_deterministic() {
-        std::env::remove_var(FAULT_SEED_ENV);
-        assert_eq!(disk_faults_from_env(7), DiskFaults::plan_from_seed(7));
-    }
-
-    #[test]
     fn durability_ephemeral_prefix_matches_staging_prefix() {
         // The durability layer excludes staged fragments from WAL and
         // snapshots by name prefix; if the planner's staging prefix ever
@@ -335,16 +310,5 @@ mod tests {
             bda_durability::DEFAULT_EPHEMERAL_PREFIX,
             crate::planner::FRAG_PREFIX
         );
-    }
-
-    #[test]
-    fn seed_env_override() {
-        // Avoid polluting other tests: set, read, restore.
-        std::env::set_var(FAULT_SEED_ENV, "1234");
-        assert_eq!(fault_seed_from_env(1), 1234);
-        std::env::set_var(FAULT_SEED_ENV, "not a number");
-        assert_eq!(fault_seed_from_env(1), 1);
-        std::env::remove_var(FAULT_SEED_ENV);
-        assert_eq!(fault_seed_from_env(1), 1);
     }
 }

@@ -23,12 +23,9 @@ pub mod planner;
 pub mod registry;
 
 pub use cluster::{Cluster, WireStats};
-pub use executor::{run_plan, ExecOptions, RecoveryPolicy, TransferMode, CALIBRATE_ENV};
+pub use executor::{run_plan, ExecOptions, RecoveryPolicy, TransferMode};
 pub use explain::{render_analyze, render_analyze_with_costs};
-pub use fault::{
-    disk_faults_from_env, fault_seed_from_env, DiskFaults, FaultConfig, FaultyProvider,
-    FAULT_SEED_ENV,
-};
+pub use fault::{DiskFaults, FaultConfig, FaultyProvider};
 pub use metrics::{Metrics, NetConfig, TransferRecord};
 pub use optimize::{optimize, OptimizerConfig};
 pub use planner::{Fragment, Placement, Planner, APP_SITE, FRAG_PREFIX};
@@ -261,13 +258,13 @@ impl Federation {
     /// `EXPLAIN ANALYZE`: run the plan with tracing enabled and render
     /// the recorded span tree — per-node wall time, rows, bytes, and the
     /// provider that executed each operator — plus the run's metrics.
-    /// The trace id comes from `seed` (overridable via `BDA_TRACE_SEED`).
+    /// The trace id comes from `seed`.
     /// The rendered report includes modeled-vs-measured per-operator
     /// costs (the `== calibration ==` section): `run_traced` has just
     /// folded this query into the global [`bda_obs::profile::CostBook`],
     /// so drift between the model and this run is visible immediately.
     pub fn explain_analyze(&self, plan: &Plan, seed: u64) -> Result<String, CoreError> {
-        let tracer = bda_obs::Tracer::new(bda_obs::trace_seed_from_env(seed));
+        let tracer = bda_obs::Tracer::new(seed);
         let (_, metrics) = self.run_traced(plan, &tracer)?;
         Ok(explain::render_analyze_with_costs(
             &tracer.finish(),
@@ -384,9 +381,8 @@ mod tests {
                     .schema_of("b")
                     .unwrap(),
             ));
-        // One worker whatever BDA_WORKERS says: the matmul must run as
-        // itself, not as partitions under a `merge`.
-        fed.options_mut().workers = 1;
+        // One worker (the default): the matmul must run as itself, not
+        // as partitions under a `merge`.
         let s = fed.explain_analyze(&plan, 42).unwrap();
         assert!(s.contains("query @ app"), "{s}");
         assert!(s.contains("fragment:0 @ rel"), "{s}");
@@ -412,7 +408,6 @@ mod tests {
         fed.register(Arc::new(rel));
         let scan = Plan::scan("t", fed.registry().schema_of("t").unwrap());
         let plan = scan.clone().join(scan, vec![("k", "k")]);
-        fed.options_mut().workers = 1; // whatever BDA_WORKERS says
         let sequential = fed.explain(&plan).unwrap();
         assert!(!sequential.contains("exchange"), "{sequential}");
         fed.options_mut().workers = 4;

@@ -35,7 +35,7 @@ pub struct OptimizerConfig {
     /// Run intent recognition.
     pub recognize_intents: bool,
     /// Consult table statistics to eliminate fragments whose zone maps
-    /// disprove a selection. Defaults to [`bda_core::stats_from_env`].
+    /// disprove a selection. On by default.
     pub use_stats: bool,
 }
 
@@ -46,7 +46,7 @@ impl Default for OptimizerConfig {
             pushdown: true,
             prune_projects: true,
             recognize_intents: true,
-            use_stats: bda_core::stats_from_env(),
+            use_stats: true,
         }
     }
 }

@@ -17,10 +17,10 @@
 //! * **Label closures.** Like the tracer, labels are closures so a
 //!   disabled recorder ([`set_enabled`]) formats nothing.
 //!
-//! [`dump_for_failure`] writes the current ring to a file (directory
-//! from `BDA_FLIGHT_DIR`, else the system temp dir) and returns the
-//! path; the federation executor calls it when a query fails permanently
-//! and attaches the path to the error it surfaces.
+//! [`dump_for_failure`] writes the current ring to a file in the system
+//! temp directory ([`std::env::temp_dir`], so `TMPDIR` moves it) and
+//! returns the path; the federation executor calls it when a query
+//! fails permanently and attaches the path to the error it surfaces.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,10 +29,6 @@ use std::time::Instant;
 
 /// Records kept by the ring before overwriting the oldest.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
-
-/// Environment variable naming the directory failure dumps are written
-/// to (defaults to the system temp directory).
-pub const FLIGHT_DIR_ENV: &str = "BDA_FLIGHT_DIR";
 
 /// One recorded moment: what happened, where, and when (milliseconds
 /// since the recorder was created).
@@ -149,8 +145,7 @@ impl FlightRecorder {
         out
     }
 
-    /// Write the ring to `<dir>/bda-flight-<tag>.log` where `dir` comes
-    /// from [`FLIGHT_DIR_ENV`] (else the system temp dir). Returns the
+    /// Write the ring to `<temp dir>/bda-flight-<tag>.log`. Returns the
     /// path written, or `None` when the write failed or the recorder is
     /// disabled/empty — a post-mortem helper must never turn a query
     /// failure into an I/O panic.
@@ -159,14 +154,11 @@ impl FlightRecorder {
         if rendered.is_empty() {
             return None;
         }
-        let dir = std::env::var(FLIGHT_DIR_ENV)
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| std::env::temp_dir());
         let safe: String = tag
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
             .collect();
-        let path = dir.join(format!("bda-flight-{safe}.log"));
+        let path = std::env::temp_dir().join(format!("bda-flight-{safe}.log"));
         std::fs::write(&path, rendered).ok()?;
         Some(path)
     }

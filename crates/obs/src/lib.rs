@@ -15,7 +15,7 @@
 //!   profiler ([`prof`]) is a single relaxed atomic load when off.
 //! * **Deterministic ids.** Span ids are sequential per tracer and the
 //!   trace id is a pure function of the seed ([`Tracer::new`]), so tests
-//!   can assert on trace *shape* under `BDA_FAULT_SEED`-style seeding.
+//!   can assert on trace *shape* under a fixed seed.
 //! * **Bounded.** The span buffer has a hard capacity; overflow is
 //!   counted in [`Trace::dropped`], never unbounded growth.
 //!
@@ -57,18 +57,6 @@ pub use store::TraceStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Environment variable that seeds trace ids (like `BDA_FAULT_SEED`
-/// seeds fault streams). Tests set it to assert on exact trace ids.
-pub const TRACE_SEED_ENV: &str = "BDA_TRACE_SEED";
-
-/// The trace seed: `BDA_TRACE_SEED` when set and parseable, else `default`.
-pub fn trace_seed_from_env(default: u64) -> u64 {
-    std::env::var(TRACE_SEED_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(default)
-}
 
 /// SplitMix64: the seed→trace-id mix (deterministic, well distributed).
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -560,13 +548,5 @@ mod tests {
         assert!(prof::enabled());
         prof::set_enabled(false);
         assert!(!prof::enabled());
-    }
-
-    #[test]
-    fn trace_seed_env_override() {
-        std::env::set_var(TRACE_SEED_ENV, "99");
-        assert_eq!(trace_seed_from_env(1), 99);
-        std::env::remove_var(TRACE_SEED_ENV);
-        assert_eq!(trace_seed_from_env(1), 1);
     }
 }

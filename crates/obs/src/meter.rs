@@ -348,25 +348,11 @@ impl UsageBook {
     }
 }
 
-/// The process-global usage book, seeded from [`crate::TRACE_SEED_ENV`]
-/// when set (0 otherwise). On first touch, honours
-/// [`crate::profile::PROFILE_DIR_ENV`] by loading and enabling JSONL
-/// persistence under the same directory as the query log.
+/// The process-global usage book (seed 0); in memory only until a
+/// binary calls [`UsageBook::init_persistence`] on it.
 pub fn global_usage() -> &'static UsageBook {
     static BOOK: OnceLock<UsageBook> = OnceLock::new();
-    BOOK.get_or_init(|| {
-        let seed = std::env::var(crate::TRACE_SEED_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0);
-        let book = UsageBook::new(seed);
-        if let Ok(dir) = std::env::var(crate::profile::PROFILE_DIR_ENV) {
-            if !dir.trim().is_empty() {
-                let _ = book.init_persistence(Path::new(&dir));
-            }
-        }
-        book
-    })
+    BOOK.get_or_init(|| UsageBook::new(0))
 }
 
 #[cfg(test)]

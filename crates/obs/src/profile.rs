@@ -31,11 +31,6 @@ use crate::chrome::escape;
 use crate::metrics::Histogram;
 use crate::Trace;
 
-/// Environment variable naming a directory for JSONL profile
-/// persistence. When set, the process-global [`QueryLog`] loads the
-/// existing log on first touch and appends every new profile.
-pub const PROFILE_DIR_ENV: &str = "BDA_PROFILE_DIR";
-
 /// File name of the JSONL query log inside the profile directory.
 pub const PROFILE_FILE: &str = "profiles.jsonl";
 
@@ -634,19 +629,11 @@ fn render_queries(profiles: &[QueryProfile]) -> String {
     format!("{{\"queries\":[{}]}}\n", body.join(","))
 }
 
-/// The process-global query log. On first touch, honours
-/// [`PROFILE_DIR_ENV`] by loading and enabling JSONL persistence.
+/// The process-global query log; in memory only until a binary calls
+/// [`QueryLog::init_persistence`] on it.
 pub fn global_log() -> &'static QueryLog {
     static LOG: OnceLock<QueryLog> = OnceLock::new();
-    LOG.get_or_init(|| {
-        let log = QueryLog::new();
-        if let Ok(dir) = std::env::var(PROFILE_DIR_ENV) {
-            if !dir.trim().is_empty() {
-                let _ = log.init_persistence(Path::new(&dir));
-            }
-        }
-        log
-    })
+    LOG.get_or_init(QueryLog::new)
 }
 
 // ---------------------------------------------------------------------
@@ -780,17 +767,10 @@ fn fold(map: &mut BTreeMap<String, f64>, key: &str, obs: f64) {
     }
 }
 
-/// The process-global cost book, seeded from [`crate::TRACE_SEED_ENV`]
-/// when set (0 otherwise).
+/// The process-global cost book (seed 0).
 pub fn global_costs() -> &'static CostBook {
     static BOOK: OnceLock<CostBook> = OnceLock::new();
-    BOOK.get_or_init(|| {
-        let seed = std::env::var(crate::TRACE_SEED_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0);
-        CostBook::new(seed)
-    })
+    BOOK.get_or_init(|| CostBook::new(0))
 }
 
 #[cfg(test)]

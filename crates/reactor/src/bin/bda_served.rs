@@ -52,6 +52,10 @@ use bda_relational::RelationalEngine;
 use bda_storage::dataset::matrix_dataset;
 use bda_storage::{Column, DataSet};
 
+/// Environment variable naming the directory the query-profile log and
+/// the usage book persist to (overrides `<data-dir>/profiles`).
+const PROFILE_DIR_ENV: &str = "BDA_PROFILE_DIR";
+
 struct Args {
     engine: String,
     name: String,
@@ -264,26 +268,35 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // The query-profile log persists under an explicit BDA_PROFILE_DIR,
-    // or under `<data-dir>/profiles` when the engine is durable. Setting
-    // the env var before the log's first touch routes both cases through
-    // the global log's own initialisation, so profiles recorded by a
-    // previous process are served again after restart.
-    let profile_dir = std::env::var(bda_obs::profile::PROFILE_DIR_ENV)
+    // The query-profile log and the usage book persist under an explicit
+    // BDA_PROFILE_DIR, or under `<data-dir>/profiles` when the engine is
+    // durable, so what a previous process recorded is served again after
+    // restart.
+    let profile_dir = std::env::var(PROFILE_DIR_ENV)
         .ok()
         .filter(|d| !d.trim().is_empty())
+        .map(std::path::PathBuf::from)
         .or_else(|| {
-            args.data_dir.as_ref().map(|d| {
-                std::path::Path::new(d)
-                    .join("profiles")
-                    .display()
-                    .to_string()
-            })
+            args.data_dir
+                .as_ref()
+                .map(|d| std::path::Path::new(d).join("profiles"))
         });
     if let Some(dir) = profile_dir {
-        std::env::set_var(bda_obs::profile::PROFILE_DIR_ENV, &dir);
-        let recovered = bda_obs::profile::global_log().len();
-        println!("bda-served: profile log persists to {dir} ({recovered} profiles recovered)");
+        let recovered = bda_obs::profile::global_log()
+            .init_persistence(&dir)
+            .and_then(|n| {
+                bda_obs::meter::global_usage()
+                    .init_persistence(&dir)
+                    .map(|_| n)
+            })
+            .unwrap_or_else(|e| {
+                eprintln!("bda-served: profile dir {}: {e}", dir.display());
+                std::process::exit(1);
+            });
+        println!(
+            "bda-served: profile log persists to {} ({recovered} profiles recovered)",
+            dir.display()
+        );
     }
 
     // One hub for everything: request counters, durability WAL/replay

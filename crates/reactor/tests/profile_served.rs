@@ -99,9 +99,11 @@ fn http_get(addr: &str, path: &str) -> (String, String) {
 #[test]
 fn profiles_persist_across_restart_on_both_serving_cores() {
     let dir = tmp_dir();
-    // Route this process's global query log at the directory *before*
-    // its first touch — exactly what bda-served does at startup.
-    std::env::set_var(bda_obs::profile::PROFILE_DIR_ENV, &dir);
+    // Persist this process's global query log to the directory, as
+    // bda-served does at startup.
+    bda_obs::profile::global_log()
+        .init_persistence(&dir)
+        .expect("profile dir");
 
     let rel = RelationalEngine::new("rel");
     rel.store(

@@ -6,8 +6,9 @@
 //! coordinate-list layout (borrowed, or converted when dense) and yields
 //! at most one output chunk, with empty outputs dropped. Inside a chunk
 //! the work is columnar (masks, gathers, vectorized expression
-//! evaluation). Join, sort, distinct, union and limit still concatenate
-//! their inputs into one chunk first.
+//! evaluation). Union passes its inputs' chunks through and limit slices
+//! chunk by chunk; join, sort and distinct still concatenate their
+//! inputs into one chunk first.
 
 use std::collections::BTreeMap;
 
@@ -122,9 +123,7 @@ fn execute_node(
         Plan::Union { left, right } => {
             let l = execute(left, tables, state)?;
             let r = execute(right, tables, state)?;
-            let mut chunk = l.to_rows_chunk()?;
-            chunk.extend(&r.to_rows_chunk()?)?;
-            Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
+            Ok(l.concat(r, out_schema))
         }
         Plan::Distinct { input } => {
             let in_ds = execute(input, tables, state)?;
@@ -135,19 +134,7 @@ fn execute_node(
             sort_exec(&in_ds, keys, out_schema)
         }
         Plan::Limit { input, skip, fetch } => {
-            let in_ds = execute(input, tables, state)?;
-            let chunk = in_ds.to_rows_chunk()?;
-            let n = chunk.len();
-            let start = (*skip).min(n);
-            let end = match fetch {
-                Some(f) => (start + f).min(n),
-                None => n,
-            };
-            let indices: Vec<usize> = (start..end).collect();
-            Ok(DataSet::new(
-                out_schema,
-                vec![Chunk::Rows(chunk.take(&indices))],
-            ))
+            Ok(execute(input, tables, state)?.limit(*skip, *fetch)?)
         }
         Plan::Rename { input, .. } | Plan::UntagDims { input } => {
             let in_ds = execute(input, tables, state)?;
@@ -519,6 +506,37 @@ mod tests {
     #[test]
     fn union_and_rename_match_reference() {
         check_against_reference(&scan_t().union(scan_t()).rename(vec![("v", "val")]));
+    }
+
+    #[test]
+    fn multi_chunk_union_and_limit_match_the_reference_row_for_row() {
+        // `t` split into chunks of 1, 0 and 3 rows: skip/fetch windows
+        // cross every boundary and land on the empty chunk.
+        let single = tables()["t"].clone();
+        let rows = single.to_rows_chunk().unwrap();
+        let mut multi = DataSet::empty(single.schema().clone());
+        for part in [0..1, 1..1, 1..4] {
+            multi.push_chunk(Chunk::Rows(rows.take(&part.collect::<Vec<_>>())));
+        }
+        let tables = BTreeMap::from([("t".to_string(), multi)]);
+        let check = |plan: &Plan| {
+            let ours = execute(plan, &tables, None).unwrap().rows().unwrap();
+            let oracle = evaluate(plan, &as_hashmap(&tables)).unwrap();
+            assert_eq!(ours, oracle.rows().unwrap(), "{plan}");
+        };
+        let union = scan_t().union(scan_t().select(col("k").gt(lit(1i64))));
+        check(&union);
+        for skip in 0..=5 {
+            for fetch in [None, Some(0), Some(1), Some(2), Some(4)] {
+                for input in [scan_t(), union.clone()] {
+                    check(&Plan::Limit {
+                        input: input.boxed(),
+                        skip,
+                        fetch,
+                    });
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,12 +46,12 @@ impl RelationalEngine {
             name: name.into(),
             tables: RwLock::new(BTreeMap::new()),
             metas: RwLock::new(Arc::new(BTreeMap::new())),
-            stats_enabled: AtomicBool::new(bda_core::stats_from_env()),
+            stats_enabled: AtomicBool::new(true),
         }
     }
 
     /// Enable or disable statistics-driven execution (zone-map pruning
-    /// and index lowering) for this engine.
+    /// and index lowering) for this engine; on by default.
     pub fn set_stats_enabled(&self, on: bool) {
         self.stats_enabled.store(on, Ordering::Relaxed);
     }

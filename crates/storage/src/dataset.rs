@@ -97,6 +97,52 @@ impl DataSet {
         Arc::make_mut(&mut self.chunks).push(chunk);
     }
 
+    /// `self`'s chunks, then `other`'s, under `schema`: a bag union that
+    /// converts no chunk. The caller vouches that `schema` reads both
+    /// inputs' chunks the same way (a union's inputs share its schema).
+    /// An empty input contributes nothing and the other is shared as is;
+    /// otherwise each chunk list is moved out when unshared.
+    pub fn concat(self, other: DataSet, schema: Schema) -> DataSet {
+        if other.chunks.is_empty() {
+            return self.relabel(schema);
+        }
+        if self.chunks.is_empty() {
+            return other.relabel(schema);
+        }
+        let mut chunks = self.into_chunks();
+        chunks.extend(other.into_chunks());
+        DataSet::new(schema, chunks)
+    }
+
+    /// Rows `skip .. skip + fetch` in chunk order (all remaining rows
+    /// when `fetch` is `None`), sliced chunk by chunk: a chunk wholly
+    /// inside the window is kept as it is, a boundary chunk is cut in
+    /// coordinate-list layout, and chunks outside it are dropped.
+    pub fn limit(&self, mut skip: usize, fetch: Option<usize>) -> Result<DataSet> {
+        let mut left = fetch.unwrap_or(usize::MAX);
+        let mut out = Vec::new();
+        for chunk in self.chunks.iter() {
+            let n = chunk.len();
+            if left == 0 {
+                break;
+            }
+            if skip >= n {
+                skip -= n;
+                continue;
+            }
+            let end = n.min(skip.saturating_add(left));
+            if skip == 0 && end == n {
+                out.push(chunk.clone());
+            } else {
+                let idx: Vec<usize> = (skip..end).collect();
+                out.push(Chunk::Rows(chunk.rows_view(&self.schema)?.take(&idx)));
+            }
+            left -= end - skip;
+            skip = 0;
+        }
+        Ok(DataSet::new(self.schema.clone(), out))
+    }
+
     /// Total number of logical rows/cells.
     pub fn num_rows(&self) -> usize {
         self.chunks.iter().map(Chunk::len).sum()
@@ -464,6 +510,88 @@ mod tests {
             a.chunks().as_ptr(),
             relabeled.chunks().as_ptr()
         ));
+    }
+
+    /// Nine rows over four chunks: three coordinate-list rows, a dense
+    /// box with three of its four cells present, an empty chunk, and
+    /// three more rows.
+    fn multi_chunk() -> DataSet {
+        let schema = Schema::new(vec![
+            Field::dimension_bounded("i", 0, 100),
+            Field::value("x", DataType::Int64),
+        ])
+        .unwrap();
+        let rows = |from: i64| {
+            Chunk::Rows(
+                RowsChunk::new(vec![
+                    Column::from(vec![from, from + 1, from + 2]),
+                    Column::from(vec![from * 10, from * 10 + 1, from * 10 + 2]),
+                ])
+                .unwrap(),
+            )
+        };
+        let dense = DenseChunk::new(
+            DimBox::new(vec![10], vec![14]).unwrap(),
+            vec![Column::from(vec![5i64, 6, 7, 8])],
+            Some(crate::Bitmap::from_bools(&[true, false, true, true])),
+        )
+        .unwrap();
+        let empty = Chunk::Rows(RowsChunk::empty(&schema));
+        DataSet::new(schema, vec![rows(0), Chunk::Dense(dense), empty, rows(20)])
+    }
+
+    #[test]
+    fn multi_chunk_limit_slices_like_its_concatenation() {
+        let ds = multi_chunk();
+        let all = ds.rows().unwrap();
+        assert_eq!(all.len(), 9);
+        let fetches = std::iter::once(None).chain((0..=10).map(Some));
+        for fetch in fetches {
+            for skip in 0..=10 {
+                let out = ds.limit(skip, fetch).unwrap();
+                let start = skip.min(all.len());
+                let end = fetch.map_or(all.len(), |f| (start + f).min(all.len()));
+                assert_eq!(
+                    out.rows().unwrap(),
+                    all[start..end],
+                    "skip={skip} fetch={fetch:?}"
+                );
+                assert!(
+                    out.chunks().iter().all(|c| !c.is_empty()),
+                    "skip={skip} fetch={fetch:?} kept an empty chunk"
+                );
+            }
+        }
+        // A window covering the dense chunk keeps it dense; one cutting
+        // into it slices its coordinate-list view.
+        let whole = ds.limit(3, Some(3)).unwrap();
+        assert!(matches!(whole.chunks(), [Chunk::Dense(_)]));
+        let cut = ds.limit(4, Some(3)).unwrap();
+        assert_eq!(cut.chunks().len(), 2);
+        assert!(cut.chunks().iter().all(|c| matches!(c, Chunk::Rows(_))));
+    }
+
+    #[test]
+    fn concat_passes_both_inputs_chunks_in_order() {
+        let ds = multi_chunk();
+        let schema = ds.schema().clone();
+        // Cut row 0, keep the dense chunk, drop the empty one: three chunks.
+        let right = ds.limit(1, None).unwrap();
+        let both = ds.clone().concat(right.clone(), schema.clone());
+        assert_eq!(both.chunks().len(), 7);
+        assert!(matches!(both.chunks()[1], Chunk::Dense(_)));
+        assert!(matches!(both.chunks()[5], Chunk::Dense(_)));
+        let mut want = ds.rows().unwrap();
+        want.extend(right.rows().unwrap());
+        assert_eq!(both.rows().unwrap(), want);
+        // An empty side is skipped and the other side shared, not copied.
+        let empty = DataSet::empty(schema.clone());
+        for out in [
+            ds.clone().concat(empty.clone(), schema.clone()),
+            empty.concat(ds.clone(), schema),
+        ] {
+            assert!(std::ptr::eq(out.chunks().as_ptr(), ds.chunks().as_ptr()));
+        }
     }
 
     #[test]

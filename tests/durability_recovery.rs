@@ -2,9 +2,9 @@
 //! federation (ROADMAP: robustness): a durable provider is crashed and
 //! reopened over its data directory, rejoins the federation with its
 //! data, and the federated plan still matches the reference evaluator.
-//! Disk faults (torn appends, ENOSPC, truncated snapshots) ride the
-//! same `BDA_FAULT_SEED` convention as the transport and provider
-//! chaos, and the acknowledged-writes contract is checked under every
+//! Disk faults (torn appends, ENOSPC, truncated snapshots) are seeded
+//! like the transport and provider chaos, and the acknowledged-writes
+//! contract is checked under every
 //! seeded fault plan: recover everything acked, or refuse loudly —
 //! never ack-then-lose.
 
@@ -170,8 +170,8 @@ fn killed_durable_server_rejoins_the_federation_with_its_data() {
 #[test]
 fn every_seeded_disk_fault_plan_preserves_acknowledged_writes() {
     // Sweep seeds so all three fault modes (torn append, ENOSPC,
-    // truncated snapshot) are exercised regardless of which one
-    // `BDA_FAULT_SEED` would pick; each seed's plan is deterministic.
+    // truncated snapshot) are exercised; each seed's plan is
+    // deterministic.
     for seed in 0..9u64 {
         let plan = DiskFaults::plan_from_seed(seed);
         let dir = tmp_dir();

@@ -5,9 +5,8 @@
 //! per-fragment retry and failover onto a replica. The same plan with
 //! recovery disabled fails.
 //!
-//! Fault injection is seeded: set `BDA_FAULT_SEED` (the chaos CI job
-//! sweeps a seed matrix) to replay a specific fault stream; the default
-//! seed is used otherwise.
+//! Fault injection is seeded: the recovery tests sweep [`SEEDS`], so every
+//! seeded fault stream is replayed on every run.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,8 +15,8 @@ use std::time::Duration;
 use bda::core::reference::evaluate;
 use bda::core::{Plan, Provider};
 use bda::federation::{
-    fault_seed_from_env, BreakerState, ExecOptions, FaultConfig, FaultyProvider, Federation,
-    RecoveryPolicy, TransferMode,
+    BreakerState, ExecOptions, FaultConfig, FaultyProvider, Federation, Metrics, RecoveryPolicy,
+    TransferMode,
 };
 use bda::lang::Query;
 use bda::linalg::LinAlgEngine;
@@ -27,7 +26,12 @@ use bda::workloads::random_matrix;
 use bda_net::{RemoteOptions, RemoteProvider, RetryPolicy};
 use bda_reactor::{serve_reactor, ReactorHandle, ReactorOptions};
 
-const DEFAULT_SEED: u64 = 0xBDA;
+/// The fault seeds every recovery test sweeps.
+const SEEDS: [u64; 4] = [0xBDA, 1, 7, 42];
+
+/// The seed for tests whose outcome the seed cannot change (the crash is
+/// deterministic).
+const DEFAULT_SEED: u64 = SEEDS[0];
 
 fn lookup_table() -> DataSet {
     DataSet::from_columns(vec![
@@ -43,10 +47,9 @@ fn lookup_table() -> DataSet {
 /// The chaos federation: `la1` (first registered, so the planner pins the
 /// matmul there) is crashed from the start; `la2` is its healthy replica;
 /// `rel` fails transiently at p = 0.3 (with one guaranteed failure so
-/// every seed exercises a retry). `with_replica: false` drops `la2`,
-/// leaving failover nowhere to go.
-fn chaos_federation(with_replica: bool) -> Federation {
-    let seed = fault_seed_from_env(DEFAULT_SEED);
+/// every seed exercises a retry); `seed` drives its fault stream.
+/// `with_replica: false` drops `la2`, leaving failover nowhere to go.
+fn chaos_federation(with_replica: bool, seed: u64) -> Federation {
     let la1 = LinAlgEngine::new("la1");
     la1.store("a", random_matrix(8, 8, 1)).unwrap();
     la1.store("b", random_matrix(8, 8, 2)).unwrap();
@@ -99,7 +102,7 @@ fn oracle() -> HashMap<String, DataSet> {
 }
 
 /// Generous retry budget: at p = 0.3 per call, six attempts make an
-/// unrecovered stage vanishingly unlikely for any seed in the CI matrix.
+/// unrecovered stage vanishingly unlikely for any seed in [`SEEDS`].
 fn recovering_options() -> ExecOptions {
     ExecOptions {
         recovery: RecoveryPolicy {
@@ -112,41 +115,45 @@ fn recovering_options() -> ExecOptions {
     }
 }
 
-/// Enabled when `BDA_TRACE` is set (the chaos CI job sets it): the same
-/// run then records a full trace, letting the test assert that recovery
-/// shows up as span events, not just counters. `FaultyProvider` draws
-/// its fault stream from a shared counter, so tracing never perturbs
-/// which calls fail.
-fn chaos_tracer() -> bda::obs::Tracer {
-    if std::env::var("BDA_TRACE").is_ok_and(|v| !v.is_empty() && v != "0") {
-        bda::obs::Tracer::new(bda::obs::trace_seed_from_env(DEFAULT_SEED))
-    } else {
-        bda::obs::Tracer::disabled()
+#[test]
+fn plan_completes_correctly_under_faults_via_retry_and_failover() {
+    for seed in SEEDS {
+        // Untraced, then traced: tracing must not perturb which calls
+        // fail (`FaultyProvider` draws its fault stream from a shared
+        // counter), and the traced run must record the recovery.
+        let untraced = check_recovered_run(seed, &bda::obs::Tracer::disabled());
+        let traced = check_recovered_run(seed, &bda::obs::Tracer::new(seed));
+        assert_eq!(
+            (untraced.retries, untraced.failovers),
+            (traced.retries, traced.failovers),
+            "seed {seed}: tracing changed the fault stream"
+        );
     }
 }
 
-#[test]
-fn plan_completes_correctly_under_faults_via_retry_and_failover() {
-    let mut fed = chaos_federation(true);
+/// Run the chaos plan with recovery under `tracer`, check the answer and
+/// the cleanup (and, when traced, the recovery events), and return the
+/// run's metrics.
+fn check_recovered_run(seed: u64, tracer: &bda::obs::Tracer) -> Metrics {
+    let mut fed = chaos_federation(true, seed);
     *fed.options_mut() = recovering_options();
     let plan = join_matmul_plan(&fed);
-    let tracer = chaos_tracer();
-    let (out, metrics) = fed
-        .run_traced(&plan, &tracer)
-        .expect("recovery completes the plan despite a crash and p=0.3 transients");
+    let (out, metrics) = fed.run_traced(&plan, tracer).unwrap_or_else(|e| {
+        panic!("seed {seed}: recovery must complete the plan despite a crash and p=0.3 transients: {e}")
+    });
 
     let expected = evaluate(&plan, &oracle()).expect("reference evaluation");
     assert!(
         out.same_bag(&expected).unwrap(),
-        "recovered result disagrees with the reference evaluator"
+        "seed {seed}: recovered result disagrees with the reference evaluator"
     );
     assert!(
         metrics.retries > 0,
-        "rel's transients force retries: {metrics}"
+        "seed {seed}: rel's transients force retries: {metrics}"
     );
     assert!(
         metrics.failovers > 0,
-        "la1's crash forces failover: {metrics}"
+        "seed {seed}: la1's crash forces failover: {metrics}"
     );
 
     // Nothing staged survives the run, on any provider.
@@ -154,14 +161,14 @@ fn plan_completes_correctly_under_faults_via_retry_and_failover() {
         for (name, _) in p.catalog() {
             assert!(
                 !name.starts_with("__bda_frag_"),
-                "staged intermediate `{name}` leaked on `{}`",
+                "seed {seed}: staged intermediate `{name}` leaked on `{}`",
                 p.name()
             );
         }
     }
 
-    // Under BDA_TRACE, the recovery story is auditable from the trace
-    // alone: every counted retry/failover left a span event behind.
+    // Traced, the recovery story is auditable from the trace alone:
+    // every counted retry/failover left a span event behind.
     if tracer.is_enabled() {
         let trace = tracer.finish();
         let events: Vec<&str> = trace
@@ -171,17 +178,18 @@ fn plan_completes_correctly_under_faults_via_retry_and_failover() {
             .collect();
         assert!(
             events.iter().any(|l| l.starts_with("retry:")),
-            "retries counted but no retry events recorded: {events:?}"
+            "seed {seed}: retries counted but no retry events recorded: {events:?}"
         );
         assert!(
             events.iter().any(|l| l.starts_with("failover:")),
-            "failovers counted but no failover events recorded: {events:?}"
+            "seed {seed}: failovers counted but no failover events recorded: {events:?}"
         );
         assert!(
             !trace.spans_named("fragment:").is_empty(),
-            "traced chaos run recorded no fragment spans"
+            "seed {seed}: traced chaos run recorded no fragment spans"
         );
     }
+    metrics
 }
 
 #[test]
@@ -190,41 +198,43 @@ fn chaos_under_parallel_workers_still_converges() {
     // scheduler with 4 workers and partition-parallel kernels: recovery
     // semantics must hold per sub-fragment, and the answer must still be
     // the reference evaluator's.
-    let mut fed = chaos_federation(true);
-    *fed.options_mut() = ExecOptions {
-        workers: 4,
-        ..recovering_options()
-    };
-    let plan = join_matmul_plan(&fed);
-    let (out, metrics) = fed
-        .run(&plan)
-        .expect("parallel recovery completes the plan despite a crash and p=0.3 transients");
+    for seed in SEEDS {
+        let mut fed = chaos_federation(true, seed);
+        *fed.options_mut() = ExecOptions {
+            workers: 4,
+            ..recovering_options()
+        };
+        let plan = join_matmul_plan(&fed);
+        let (out, metrics) = fed.run(&plan).unwrap_or_else(|e| {
+            panic!("seed {seed}: parallel recovery must complete the plan: {e}")
+        });
 
-    let expected = evaluate(&plan, &oracle()).expect("reference evaluation");
-    assert!(
-        out.same_bag(&expected).unwrap(),
-        "parallel recovered result disagrees with the reference evaluator"
-    );
-    assert!(
-        metrics.failovers > 0,
-        "la1's crash forces failover under parallel dispatch: {metrics}"
-    );
+        let expected = evaluate(&plan, &oracle()).expect("reference evaluation");
+        assert!(
+            out.same_bag(&expected).unwrap(),
+            "seed {seed}: parallel recovered result disagrees with the reference evaluator"
+        );
+        assert!(
+            metrics.failovers > 0,
+            "seed {seed}: la1's crash forces failover under parallel dispatch: {metrics}"
+        );
 
-    // Staged intermediates are cleaned up on every provider here too.
-    for p in fed.registry().providers() {
-        for (name, _) in p.catalog() {
-            assert!(
-                !name.starts_with("__bda_frag_"),
-                "staged intermediate `{name}` leaked on `{}`",
-                p.name()
-            );
+        // Staged intermediates are cleaned up on every provider here too.
+        for p in fed.registry().providers() {
+            for (name, _) in p.catalog() {
+                assert!(
+                    !name.starts_with("__bda_frag_"),
+                    "seed {seed}: staged intermediate `{name}` leaked on `{}`",
+                    p.name()
+                );
+            }
         }
     }
 }
 
 #[test]
 fn same_faults_without_recovery_fail() {
-    let fed = chaos_federation(true);
+    let fed = chaos_federation(true, DEFAULT_SEED);
     let plan = join_matmul_plan(&fed);
     let opts = ExecOptions {
         recovery: RecoveryPolicy::disabled(),
@@ -240,7 +250,7 @@ fn same_faults_without_recovery_fail() {
 fn failover_needs_somewhere_to_go() {
     // Without the replica, retry still works but the crashed matmul site
     // has no stand-in: the plan fails even with recovery on.
-    let fed = chaos_federation(false);
+    let fed = chaos_federation(false, DEFAULT_SEED);
     let plan = join_matmul_plan(&fed);
     let err = fed.run_with(&plan, &recovering_options()).unwrap_err();
     assert!(err.to_string().contains("injected crash"), "{err}");
@@ -249,28 +259,33 @@ fn failover_needs_somewhere_to_go() {
 #[test]
 fn permanent_failure_leaves_a_flight_recorder_dump() {
     // The crash flight recorder is always on: when a query fails
-    // permanently, the executor dumps the recent-event ring to
-    // `$BDA_FLIGHT_DIR` and the dump names the fragment and provider
-    // that sank the query — a post-mortem without any tracing enabled.
-    let dir = std::env::temp_dir().join(format!("bda-flight-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    std::env::set_var("BDA_FLIGHT_DIR", &dir);
-
-    let fed = chaos_federation(false);
+    // permanently, the executor dumps the recent-event ring to the temp
+    // directory, the error names the dump, and the dump names the
+    // fragment and provider that sank the query — a post-mortem without
+    // any tracing enabled.
+    let fed = chaos_federation(false, DEFAULT_SEED);
     let plan = join_matmul_plan(&fed);
     let err = fed.run_with(&plan, &recovering_options()).unwrap_err();
-    assert!(err.to_string().contains("injected crash"), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("injected crash"), "{msg}");
 
-    let dumps: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("bda-flight-"))
-        .collect();
-    assert!(!dumps.is_empty(), "no flight dump written to {dir:?}");
-    let text = dumps
-        .iter()
-        .map(|d| std::fs::read_to_string(d.path()).unwrap())
-        .collect::<String>();
+    let at = msg
+        .find("[flight:")
+        .expect("the error names its flight dump");
+    let path = std::path::PathBuf::from(msg[at + "[flight:".len()..].split(']').next().unwrap());
+    assert_eq!(
+        path.parent(),
+        Some(std::env::temp_dir().as_path()),
+        "{path:?}"
+    );
+    // The file name carries this process's id, so dumps from two test
+    // binaries sharing one directory never overwrite each other.
+    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+    assert!(
+        name.starts_with(&format!("bda-flight-p{}-", std::process::id())),
+        "{name}"
+    );
+    let text = std::fs::read_to_string(&path).expect("the named dump exists");
     assert!(
         text.contains("fragment:") && text.contains("@la1"),
         "dump does not name the failing fragment and provider:\n{text}"
@@ -279,19 +294,7 @@ fn permanent_failure_leaves_a_flight_recorder_dump() {
         text.contains("failed permanently"),
         "dump does not record the permanent failure:\n{text}"
     );
-    // The error itself points at the dump when its variant carries a
-    // message; either way the file exists for the operator.
-    if let Some(at) = err.to_string().find("flight:") {
-        let rest = &err.to_string()[at + "flight:".len()..];
-        let path = rest.split(']').next().unwrap().to_string();
-        assert!(
-            std::path::Path::new(&path).exists(),
-            "error references a missing dump: {path}"
-        );
-    }
-
-    std::env::remove_var("BDA_FLIGHT_DIR");
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(path);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,8 +328,7 @@ fn connect_no_transport_retry(addr: String) -> RemoteProvider {
 /// each (possibly faulty) engine sits behind its own reactor server and
 /// registers through a `RemoteProvider`. The handles keep the servers
 /// alive for the duration of the test.
-fn reactor_chaos_federation(with_replica: bool) -> (Federation, Vec<ReactorHandle>) {
-    let seed = fault_seed_from_env(DEFAULT_SEED);
+fn reactor_chaos_federation(with_replica: bool, seed: u64) -> (Federation, Vec<ReactorHandle>) {
     let la1 = LinAlgEngine::new("la1");
     la1.store("a", random_matrix(8, 8, 1)).unwrap();
     la1.store("b", random_matrix(8, 8, 2)).unwrap();
@@ -368,48 +370,52 @@ fn reactor_chaos_federation(with_replica: bool) -> (Federation, Vec<ReactorHandl
 
 #[test]
 fn chaos_over_reactor_servers_recovers_via_retry_and_failover() {
-    let (mut fed, _servers) = reactor_chaos_federation(true);
-    *fed.options_mut() = ExecOptions {
-        // Server-to-server pushes route intermediates through the reactor
-        // cores directly, so shedding/transients on *that* path are
-        // exercised too.
-        transfer: TransferMode::RemoteTcp,
-        ..recovering_options()
-    };
-    let plan = join_matmul_plan(&fed);
-    let (out, metrics) = fed
-        .run(&plan)
-        .expect("recovery completes the plan over reactor-served providers");
+    for seed in SEEDS {
+        let (mut fed, _servers) = reactor_chaos_federation(true, seed);
+        *fed.options_mut() = ExecOptions {
+            // Server-to-server pushes route intermediates through the
+            // reactor cores directly, so shedding/transients on *that*
+            // path are exercised too.
+            transfer: TransferMode::RemoteTcp,
+            ..recovering_options()
+        };
+        let plan = join_matmul_plan(&fed);
+        let (out, metrics) = fed.run(&plan).unwrap_or_else(|e| {
+            panic!(
+                "seed {seed}: recovery must complete the plan over reactor-served providers: {e}"
+            )
+        });
 
-    let expected = evaluate(&plan, &oracle()).expect("reference evaluation");
-    assert!(
-        out.same_bag(&expected).unwrap(),
-        "recovered remote result disagrees with the reference evaluator"
-    );
-    assert!(
-        metrics.retries > 0,
-        "rel's transients must surface over the wire and force retries: {metrics}"
-    );
-    assert!(
-        metrics.failovers > 0,
-        "la1's crash must force failover onto la2 over the wire: {metrics}"
-    );
+        let expected = evaluate(&plan, &oracle()).expect("reference evaluation");
+        assert!(
+            out.same_bag(&expected).unwrap(),
+            "seed {seed}: recovered remote result disagrees with the reference evaluator"
+        );
+        assert!(
+            metrics.retries > 0,
+            "seed {seed}: rel's transients must surface over the wire and force retries: {metrics}"
+        );
+        assert!(
+            metrics.failovers > 0,
+            "seed {seed}: la1's crash must force failover onto la2 over the wire: {metrics}"
+        );
 
-    // Cleanup parity: nothing staged survives on any *server* either.
-    for p in fed.registry().providers() {
-        for (name, _) in p.catalog() {
-            assert!(
-                !name.starts_with("__bda_frag_"),
-                "staged intermediate `{name}` leaked on reactor-served `{}`",
-                p.name()
-            );
+        // Cleanup parity: nothing staged survives on any *server* either.
+        for p in fed.registry().providers() {
+            for (name, _) in p.catalog() {
+                assert!(
+                    !name.starts_with("__bda_frag_"),
+                    "seed {seed}: staged intermediate `{name}` leaked on reactor-served `{}`",
+                    p.name()
+                );
+            }
         }
     }
 }
 
 #[test]
 fn chaos_over_reactor_servers_without_replica_fails_the_same_way() {
-    let (fed, _servers) = reactor_chaos_federation(false);
+    let (fed, _servers) = reactor_chaos_federation(false, DEFAULT_SEED);
     let plan = join_matmul_plan(&fed);
     let err = fed.run_with(&plan, &recovering_options()).unwrap_err();
     // The crash message crosses the wire intact: same failure mode, same
@@ -421,7 +427,7 @@ fn chaos_over_reactor_servers_without_replica_fails_the_same_way() {
 fn breaker_trips_on_a_crashed_reactor_site_exactly_as_in_process() {
     // Only the crashed site holds the data: every run fails permanently,
     // feeding the same per-provider breaker the in-process executor uses.
-    let (fed, _servers) = reactor_chaos_federation(false);
+    let (fed, _servers) = reactor_chaos_federation(false, DEFAULT_SEED);
     let plan = join_matmul_plan(&fed);
     let threshold = fed.registry().health().config().failure_threshold;
 

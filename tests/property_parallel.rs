@@ -132,9 +132,7 @@ fn oracle_src(ds: &DataSet) -> HashMap<String, DataSet> {
     m
 }
 
-/// Run `plan` through the federation with an explicit worker count —
-/// never via `BDA_WORKERS`, so tests stay isolated under a parallel test
-/// runner.
+/// Run `plan` through the federation with an explicit worker count.
 fn run_with_workers(fed: &Federation, plan: &Plan, workers: usize) -> (DataSet, Metrics) {
     let opts = ExecOptions {
         workers,

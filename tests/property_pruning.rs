@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use bda::core::reference::evaluate;
-use bda::core::{col, lit, Expr, Plan, Provider};
+use bda::core::{col, lit, pool, Expr, Plan, Provider};
 use bda::relational::RelationalEngine;
 use bda::storage::stats::ZoneMap;
 use bda::storage::{Column, DataSet, DataType, Field, IndexKind, Row, Schema, Value};
@@ -164,19 +164,21 @@ proptest! {
 
     /// The core property: stats off, zone maps on, and zone maps plus
     /// indexes all produce the reference evaluator's bag, for every
-    /// random chunked table and predicate.
+    /// random chunked table and predicate, at one worker and at four.
     #[test]
     fn pruning_modes_agree_with_reference(ds in arb_chunked_table(), pred in arb_pred()) {
         let plan = Plan::scan("t", t_schema()).select(pred);
         let expected = evaluate(&plan, &oracle_src(&ds)).unwrap();
-        for (stats, indexes) in [(false, false), (true, false), (true, true)] {
-            let out = run_mode(&ds, &plan, stats, indexes);
-            prop_assert_eq!(out.schema(), expected.schema());
-            prop_assert!(
-                out.same_bag(&expected).unwrap(),
-                "stats={} indexes={} disagrees with reference on plan:\n{}",
-                stats, indexes, plan
-            );
+        for workers in [1, 4] {
+            for (stats, indexes) in [(false, false), (true, false), (true, true)] {
+                let out = pool::with_workers(workers, || run_mode(&ds, &plan, stats, indexes));
+                prop_assert_eq!(out.schema(), expected.schema());
+                prop_assert!(
+                    out.same_bag(&expected).unwrap(),
+                    "workers={} stats={} indexes={} disagrees with reference on plan:\n{}",
+                    workers, stats, indexes, plan
+                );
+            }
         }
     }
 }
